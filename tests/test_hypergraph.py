@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import hashlib
 import math
 import random
 
@@ -12,6 +13,7 @@ from krsfree import (
     Hypergraph,
     PartitionSpec,
     bernoulli_edge_sample,
+    build_construction,
     complete_bipartite,
     complete_multipartite,
     hypergraph_from_text,
@@ -20,6 +22,8 @@ from krsfree import (
     link,
     partition_from_text,
     partition_to_text,
+    reports_to_csv,
+    run_trials,
 )
 
 from corpus import partite_corpus_small, random_graph
@@ -161,6 +165,54 @@ class TestSampling:
         p, m, seeds = 0.3, 1000, 1000
         mean = sum(bernoulli_edge_sample(g, p, s).m for s in range(seeds)) / seeds
         assert abs(mean - p * m) <= 3 * math.sqrt(p * (1 - p) * m)
+
+
+def _sha256(text: str) -> str:
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
+class TestFrozenSamplingDigest:
+    """The seed -> sample map, frozen as digests; any change to it is a contract break.
+
+    The constants were recorded before sampling was vectorised, and must hold
+    for every later implementation of the sampler.
+    """
+
+    SAMPLE_DIGESTS = {
+        "c30_2_2": (27000, "df0747f8b2964bba57627b6447aa9c92c443313adbf9dbbf814d3176568c96d8"),
+        "c4_2_3": (16384, "6989a450768de1d944eddb8b58b9759ed4b8d061287942fc02d0236739b701f5"),
+        "gnp40": (264, "98fff427cfe05fa06d835a8a2abc5a5d66bde1ace28beaf1c902bb45924b0fb7"),
+    }
+
+    @staticmethod
+    def _hosts():
+        return {
+            "c30_2_2": build_construction(30, 2, 2)[0],
+            "c4_2_3": build_construction(4, 2, 3)[0],
+            "gnp40": random_graph(40, 0.3, random.Random(7)),
+        }
+
+    def test_sample_digests(self):
+        for name, g in self._hosts().items():
+            h = hashlib.sha256()
+            for p in (0.0, 0.01, 0.4, 1.0):
+                for seed in range(5):
+                    h.update(repr(sorted(bernoulli_edge_sample(g, p, seed).edges)).encode())
+            assert (g.m, h.hexdigest()) == self.SAMPLE_DIGESTS[name], name
+
+    def test_random_policy_batch_digests(self):
+        # The "random" policy draws from the sample's generator after the
+        # sample, so these catch any change in how many uniforms a sample uses.
+        g = random_graph(40, 0.3, random.Random(7))
+        summary = run_trials(g, 2, 4, 11, None, "random", p=0.6)
+        assert _sha256(reports_to_csv(summary.reports)) == (
+            "4b680f011f291b1f919de3dc948987bb745d5539121f4118e81e63e1d73c0a9d"
+        )
+        g, spec, _ = build_construction(3, 2, 3)
+        summary = run_trials(g, 2, 4, 11, spec, "random", p=0.3)
+        assert _sha256(reports_to_csv(summary.reports)) == (
+            "7d16fc2663a464d4309b6ea0eb3489528133561225dce5fc5988794791b33b6b"
+        )
 
 
 class TestTextFormats:
