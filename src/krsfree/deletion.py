@@ -324,9 +324,8 @@ def reports_to_csv(reports: tuple[DeletionRunReport, ...] | list[DeletionRunRepo
     return buf.getvalue()
 
 
-def report_to_json_dict(report: DeletionRunReport) -> dict:
+def _report_fields(report: DeletionRunReport) -> dict:
     return {
-        "schema": "v1",
         "seed": report.seed,
         "p": float(_fmt_float(report.p)),
         "edges_sampled": report.edges_sampled,
@@ -338,6 +337,10 @@ def report_to_json_dict(report: DeletionRunReport) -> dict:
         "policy": report.policy,
         "vacuous_regime": report.vacuous_regime,
     }
+
+
+def report_to_json_dict(report: DeletionRunReport) -> dict:
+    return {"schema": "v1", **_report_fields(report)}
 
 
 def summary_to_json_dict(summary: TrialSummary) -> dict:
@@ -360,10 +363,7 @@ def summary_to_json_dict(summary: TrialSummary) -> dict:
         "fraction_meeting_guarantee": float(_fmt_float(summary.fraction_meeting_guarantee)),
         "max_meets_guarantee": summary.max_meets_guarantee,
         "vacuous_regime": summary.vacuous_regime,
-        "reports": [
-            {k: v for k, v in report_to_json_dict(rep).items() if k != "schema"}
-            for rep in summary.reports
-        ],
+        "reports": [_report_fields(rep) for rep in summary.reports],
     }
 
 

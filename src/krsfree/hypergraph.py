@@ -9,6 +9,7 @@ functions that need randomness take an integer seed and use a named generator
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from itertools import product
 from typing import Iterable, Sequence
 
@@ -51,8 +52,15 @@ class Hypergraph:
     def m(self) -> int:
         return len(self.edges)
 
+    @cached_property
+    def _sorted_order(self) -> tuple[Edge, ...]:
+        # Built once per host on first use; not a dataclass field, so equality,
+        # hash and repr see only (k, n, edges).
+        return tuple(sorted(self.edges))
+
     def sorted_edges(self) -> list[Edge]:
-        return sorted(self.edges)
+        """The edges in lexicographic order, as a fresh list the caller may mutate."""
+        return list(self._sorted_order)
 
 
 @dataclass(frozen=True)
@@ -182,12 +190,9 @@ def _sample_with_rng(g: Hypergraph, p: float, rng: np.random.Generator) -> EdgeS
     Draws happen in sorted edge order, which is what makes the sample a pure
     function of (g, p, generator state).
     """
-    order = g.sorted_edges()
-    if not order:
-        return EdgeSubset(g, frozenset())
-    draws = rng.random(len(order))
-    chosen = frozenset(e for e, d in zip(order, draws) if d < p)
-    return EdgeSubset(g, chosen)
+    order = g._sorted_order
+    kept = np.flatnonzero(rng.random(len(order)) < p)
+    return EdgeSubset(g, frozenset(order[i] for i in kept.tolist()))
 
 
 def bernoulli_edge_sample(g: Hypergraph, p: float, seed: int) -> EdgeSubset:
@@ -222,7 +227,7 @@ def hypergraph_from_text(text: str) -> Hypergraph:
     body = [ln for ln in lines[1:] if ln.strip()]
     if len(body) != m:
         raise ValueError(f"header promises {m} edges, file has {len(body)}")
-    edges = []
+    edges: set[Edge] = set()
     for ln in body:
         try:
             vertices = [int(t) for t in ln.split()]
@@ -230,8 +235,11 @@ def hypergraph_from_text(text: str) -> Hypergraph:
             raise ValueError(f"non-integer vertex in edge line {ln!r}") from exc
         if len(vertices) != k:
             raise ValueError(f"edge line {ln!r} does not have {k} vertices")
-        edges.append(vertices)
-    return Hypergraph.from_edges(k, n, edges)
+        edge = tuple(sorted(vertices))
+        if edge in edges:
+            raise ValueError(f"repeated edge {edge!r} in edge line {ln!r}")
+        edges.add(edge)
+    return Hypergraph(k, n, frozenset(edges))
 
 
 def partition_to_text(spec: PartitionSpec) -> str:

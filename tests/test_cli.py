@@ -109,6 +109,14 @@ class TestCount:
         code, _, err = run_cli(capsys, "count", "--input", str(path), "--r", "2")
         assert code == EXIT_IO
 
+    def test_repeated_edge_line(self, capsys, tmp_path):
+        path = tmp_path / "dup.txt"
+        path.write_text("2 4 2\n0 1\n1 0\n")
+        code, out, err = run_cli(capsys, "count", "--input", str(path), "--r", "2")
+        assert code == EXIT_IO
+        assert out == ""
+        assert "repeated edge (0, 1)" in err
+
     def test_missing_r(self, capsys, k24_file):
         code, _, _ = run_cli(capsys, "count", "--input", k24_file)
         assert code == EXIT_USAGE
@@ -330,4 +338,19 @@ class TestParserBehaviour:
         assert proc.returncode == 0
         assert proc.stdout.splitlines()[0] == "2 12 27"
         proc = krsfree_cmd("construct", "--k", "2", "--r", "2", "--n", "0")
+        assert proc.returncode == EXIT_USAGE
+
+    def test_python_dash_m(self):
+        env = dict(os.environ)
+        env["PYTHONPATH"] = str(Path(krsfree.__file__).resolve().parents[1])
+
+        def module_cmd(*argv: str) -> subprocess.CompletedProcess:
+            return subprocess.run(
+                [sys.executable, "-m", "krsfree", *argv], capture_output=True, text=True, env=env
+            )
+
+        proc = module_cmd("construct", "--k", "2", "--r", "2", "--n", "3")
+        assert proc.returncode == EXIT_OK
+        assert proc.stdout.splitlines()[0] == "2 12 27"
+        proc = module_cmd("construct", "--k", "2", "--r", "2", "--n", "0")
         assert proc.returncode == EXIT_USAGE

@@ -160,6 +160,31 @@ class TestSampling:
             size = bernoulli_edge_sample(g, 0.5, seed).m
             assert 400 <= size <= 600
 
+    def test_sorted_order_cache_cannot_leak(self):
+        g = random_graph(12, 0.5, random.Random(5))
+        before_text = hypergraph_to_text(g)
+        before_sample = bernoulli_edge_sample(g, 0.4, 9).edges
+        before_repr, before_hash = repr(g), hash(g)
+        order = g.sorted_edges()
+        assert order == sorted(g.edges)
+        order.reverse()
+        order.append((0, 99))
+        assert g.sorted_edges() == sorted(g.edges)
+        assert hypergraph_to_text(g) == before_text
+        assert bernoulli_edge_sample(g, 0.4, 9).edges == before_sample
+        assert g == Hypergraph(g.k, g.n, g.edges)
+        assert hash(g) == before_hash == hash(Hypergraph(g.k, g.n, g.edges))
+        assert repr(g) == before_repr
+
+    def test_workers_agree_when_cache_fills_concurrently(self):
+        def fresh_host():
+            return build_construction(6, 2, 2)[0]
+
+        serial = run_trials(fresh_host(), 2, 8, 3, None, "random", workers=1)
+        # Every worker's first trial finds the new host's sorted order unbuilt.
+        threaded = run_trials(fresh_host(), 2, 8, 3, None, "random", workers=2)
+        assert reports_to_csv(threaded.reports) == reports_to_csv(serial.reports)
+
     def test_mean_size_matches_p_m(self):
         g, _ = complete_bipartite(25, 40)
         p, m, seeds = 0.3, 1000, 1000
@@ -235,3 +260,5 @@ class TestTextFormats:
             hypergraph_from_text("2 3 1\n0 1 2\n")
         with pytest.raises(ValueError, match="non-integer"):
             hypergraph_from_text("2 3 1\n0 x\n")
+        with pytest.raises(ValueError, match=r"repeated edge \(0, 1\)"):
+            hypergraph_from_text("2 4 2\n0 1\n1 0\n")
