@@ -40,6 +40,16 @@ def brute_copies_unordered(g: Hypergraph, r: int) -> set[tuple[tuple[int, ...], 
     return found
 
 
+def brute_copies_oriented(g: Hypergraph, U, W, r: int, s: int) -> list[tuple[tuple[int, ...], ...]]:
+    """r-by-s bicliques (R, S) with R inside U and S inside W, in lexicographic order of (R, S)."""
+    found = []
+    for R in combinations(sorted(U), r):
+        for S in combinations(sorted(W), s):
+            if _is_complete_between(g, R, S):
+                found.append((R, S))
+    return found
+
+
 def brute_count_partite_copies(g: Hypergraph, spec: PartitionSpec, r: int) -> int:
     """Anchored copies: choose an r-set in every part, check all transversals."""
     choices = [list(combinations(part, r)) for part in spec.parts]

@@ -25,8 +25,14 @@ from krsfree.oracle import (
     iter_pattern_copies,
 )
 
-from bruteforce import brute_copies_unordered, brute_max_free, copies_as_masks, mask_to_subset
-from corpus import graph_corpus, random_graph
+from bruteforce import (
+    brute_copies_oriented,
+    brute_copies_unordered,
+    brute_max_free,
+    copies_as_masks,
+    mask_to_subset,
+)
+from corpus import graph_corpus, partite_host, random_graph
 
 
 def oracle_and_brute(g: Hypergraph, pattern: PatternSpec) -> tuple[OracleResult, int]:
@@ -86,6 +92,19 @@ class TestIsFree:
             r_side, s_side = copy.parts
             assert set(r_side) <= set(spec.parts[0])
             assert set(s_side) <= set(spec.parts[1])
+
+    @pytest.mark.parametrize("r,s", [(2, 2), (2, 3), (3, 3)])
+    def test_oriented_copies_match_brute_force(self, r, s):
+        rng = random.Random(1000 * r + s)
+        for sizes in [(3, 3), (4, 5), (5, 4), (5, 6), (6, 6)] * 4:
+            g, spec = partite_host(sizes, rng.uniform(0.4, 1.0), rng)
+            u, w = spec.parts
+            forward = brute_copies_oriented(g, u, w, r, s)
+            backward = brute_copies_oriented(g, w, u, r, s)
+            oriented = [c.parts for c in iter_pattern_copies(g, PatternSpec.krs_oriented(r, s), spec)]
+            either = [c.parts for c in iter_pattern_copies(g, PatternSpec.krs_either(r, s), spec)]
+            assert oriented == forward
+            assert either == forward + backward
 
     def test_multipartite_kind(self):
         g, spec = complete_multipartite([2, 2, 2])

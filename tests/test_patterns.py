@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import hashlib
 import random
 from math import comb, factorial
 
@@ -10,6 +11,9 @@ import pytest
 from krsfree import (
     Hypergraph,
     Matching,
+    PatternSpec,
+    bernoulli_edge_sample,
+    build_construction,
     complete_bipartite,
     complete_multipartite,
     copy_count_upper_bound,
@@ -21,6 +25,7 @@ from krsfree import (
     extensions_of_matching,
     pattern_exponent,
 )
+from krsfree.oracle import iter_pattern_copies
 
 from bruteforce import (
     brute_copies_unordered,
@@ -29,7 +34,7 @@ from bruteforce import (
     brute_count_matchings,
     brute_count_partite_copies,
 )
-from corpus import graph_corpus, kgraph_corpus, partite_corpus_small, random_graph
+from corpus import graph_corpus, kgraph_corpus, partite_corpus_small, partite_host, random_graph
 
 
 def k33_minus_edge() -> Hypergraph:
@@ -142,6 +147,61 @@ class TestKGraphCopies:
         # one unordered copy here because the host itself is the only copy
         assert count_copies(g, 2) == 1
         assert count_copies(g, 2, spec) == 1
+
+
+class TestFrozenCopyOrder:
+    """Copy order, frozen as digests of the ordered copy lists.
+
+    The "lex" deletion policy and the is_free witness both depend on the order
+    in which copies are enumerated, so every kernel must keep it. The constants
+    were recorded before the copy kernels were merged.
+    """
+
+    COPY_DIGESTS = {
+        "c30_2_2": (973, "04c97666598bf69e56590dc137111c6199062d6a65d95188bd6da76f8d6433fa"),
+        "c6_2_2_parts": (3242, "e931969b3c85684d9c3a53d9dc3b347eed3872a5ce5bb941fea42195d13b1db5"),
+        "c4_2_3_parts": (3302, "5d12bd099f0fb357f9ef83954a53a86a9bc3727904dd8ce0b3f8ebf3d3a703b3"),
+        "k6_8_krs": (464, "fe6f0e53f00fe182391eeee7aab9d920a49b2d93232d222199b36c16e203360e"),
+    }
+
+    @staticmethod
+    def _digest(copy_lists) -> tuple[int, str]:
+        h = hashlib.sha256()
+        total = 0
+        for copies in copy_lists:
+            total += len(copies)
+            h.update(repr([c.parts for c in copies]).encode())
+        return total, h.hexdigest()
+
+    def _samples(self, n: int, k: int, ps):
+        g, spec, _ = build_construction(n, 2, k)
+        for p in ps:
+            for seed in range(2):
+                yield bernoulli_edge_sample(g, p, seed).as_hypergraph(), spec
+
+    def test_unanchored_graph_order(self):
+        lists = [list(enumerate_copies(sub, 2)) for sub, _ in self._samples(30, 2, (0.02, 0.04))]
+        assert self._digest(lists) == self.COPY_DIGESTS["c30_2_2"]
+
+    def test_anchored_graph_order(self):
+        lists = [
+            list(enumerate_copies(sub, r, spec))
+            for sub, spec in self._samples(6, 2, (0.3, 0.6))
+            for r in (2, 3)
+        ]
+        assert self._digest(lists) == self.COPY_DIGESTS["c6_2_2_parts"]
+
+    def test_anchored_kgraph_order(self):
+        lists = [list(enumerate_copies(sub, 2, spec)) for sub, spec in self._samples(4, 3, (0.2, 0.3))]
+        assert self._digest(lists) == self.COPY_DIGESTS["c4_2_3_parts"]
+
+    def test_oriented_biclique_order(self):
+        lists = []
+        for seed in range(3):
+            g, spec = partite_host((6, 8), 0.7, random.Random(seed))
+            for pattern in (PatternSpec.krs_oriented(2, 3), PatternSpec.krs_either(2, 3)):
+                lists.append(list(iter_pattern_copies(g, pattern, spec)))
+        assert self._digest(lists) == self.COPY_DIGESTS["k6_8_krs"]
 
 
 class TestMatchings:
