@@ -14,7 +14,6 @@ import argparse
 import json
 import math
 import sys
-from fractions import Fraction
 
 from .deletion import (
     deletion_params,
@@ -24,6 +23,7 @@ from .deletion import (
 )
 from .extremal import (
     CapacityError,
+    ConstructionSpec,
     build_construction,
     kst_certificate,
     theorem_upper_bound,
@@ -77,17 +77,21 @@ def _add_input_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--n", type=int, help="base size n for --construct")
 
 
+def _construct(args: argparse.Namespace) -> tuple[Hypergraph, PartitionSpec, ConstructionSpec]:
+    if args.k is None or args.r is None or args.n is None:
+        raise UsageError("--construct needs --k, --r and --n")
+    if args.n < 1:
+        raise UsageError("--n must be >= 1")
+    if args.r < 2 or args.k < 2:
+        raise UsageError("--construct needs --r >= 2 and --k >= 2")
+    return build_construction(args.n, args.r, args.k)
+
+
 def _load_host(args: argparse.Namespace) -> tuple[Hypergraph, PartitionSpec | None]:
     if args.construct:
         if args.input:
             raise UsageError("give either --input or --construct, not both")
-        if args.k is None or args.r is None or args.n is None:
-            raise UsageError("--construct needs --k, --r and --n")
-        if args.n < 1:
-            raise UsageError("--n must be >= 1")
-        if args.r < 2 or args.k < 2:
-            raise UsageError("--construct needs --r >= 2 and --k >= 2")
-        g, spec, _cspec = build_construction(args.n, args.r, args.k)
+        g, spec, _cspec = _construct(args)
         return g, spec
     if not args.input:
         raise UsageError("need --input PATH or --construct")
@@ -103,13 +107,7 @@ def _require_r(args: argparse.Namespace) -> int:
 
 
 def cmd_construct(args: argparse.Namespace) -> int:
-    if args.n is None or args.k is None or args.r is None:
-        raise UsageError("construct needs --k, --r and --n")
-    if args.n < 1:
-        raise UsageError("--n must be >= 1")
-    if args.r < 2 or args.k < 2:
-        raise UsageError("need --r >= 2 and --k >= 2")
-    g, spec, cspec = build_construction(args.n, args.r, args.k)
+    g, spec, cspec = _construct(args)
     if args.out:
         write_hypergraph(g, args.out)
         write_partition(spec, args.out + ".parts")
@@ -156,7 +154,6 @@ def cmd_extract(args: argparse.Namespace) -> int:
         base_seed=args.seed,
         spec=spec,
         edge_choice=args.policy,
-        workers=args.jobs,
     )
     if args.out:
         with open(args.out + ".csv", "w", encoding="ascii", newline="") as fh:
@@ -247,7 +244,7 @@ def cmd_bounds(args: argparse.Namespace) -> int:
     for base in range(1, args.n + 1):
         g, spec, cspec = build_construction(base, r, k)
         guarantee = deletion_params(cspec.m, r, k).guarantee
-        upper = theorem_upper_bound(cspec.m, r, s, k) if k == 2 else theorem_upper_bound(cspec.m, r, None, k)
+        upper = theorem_upper_bound(cspec.m, r, s, k)
         pattern = PatternSpec.krr(r) if k == 2 else PatternSpec.multipartite(r, k)
         result = max_free_subgraph(g, pattern, spec if k > 2 else None, budget=args.budget)
         rows.append(
@@ -313,8 +310,6 @@ def build_parser() -> _Parser:
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--trials", type=int, default=1)
     p.add_argument("--policy", choices=["lex", "random", "greedy"], default="lex")
-    p.add_argument("--jobs", type=int, default=1, help="worker threads; output is identical for any value")
-    p.add_argument("--format", choices=["csv", "json"], default="csv", help="kept for compatibility; both files are written with --out")
     p.add_argument("--out", metavar="PATH", help="output prefix")
     p.set_defaults(func=cmd_extract)
 

@@ -16,7 +16,6 @@ import csv
 import io
 import json
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from math import comb, factorial
 
@@ -212,25 +211,14 @@ def run_trials(
     spec: PartitionSpec | None = None,
     edge_choice: str = "lex",
     p: float | None = None,
-    workers: int = 1,
 ) -> TrialSummary:
-    """Run num_trials seeded extractions; aggregation order is fixed by trial index.
-
-    Trials are independent given their derived seeds, so workers > 1 may run
-    them concurrently without changing any output.
-    """
+    """Run num_trials seeded extractions; aggregation order is fixed by trial index."""
     if num_trials < 1:
         raise ValueError("need num_trials >= 1")
-    seeds = [derive_trial_seed(base_seed, i) for i in range(num_trials)]
-
-    def one(seed: int) -> DeletionRunReport:
-        return extract_free_subgraph(g, r, seed, spec, edge_choice, p)[1]
-
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            reports = tuple(pool.map(one, seeds))
-    else:
-        reports = tuple(one(s) for s in seeds)
+    reports = tuple(
+        extract_free_subgraph(g, r, derive_trial_seed(base_seed, i), spec, edge_choice, p)[1]
+        for i in range(num_trials)
+    )
 
     m = g.m
     q = pattern_exponent(r, g.k)

@@ -19,12 +19,17 @@ found so far is returned with the optimality flag cleared.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations
 from typing import Iterator
 
 from .deletion import run_trials
-from .hypergraph import EdgeSubset, Hypergraph, PartitionSpec
-from .patterns import PatternCopy, enumerate_copies, pattern_exponent
+from .hypergraph import EdgeSubset, Hypergraph, PartitionSpec, require_partite
+from .patterns import (
+    PatternCopy,
+    _completions,
+    _partite_masks,
+    enumerate_copies,
+    pattern_exponent,
+)
 
 KIND_KRR = "rr-unordered"
 KIND_KRS_ORIENTED = "rs-oriented"
@@ -69,37 +74,6 @@ class PatternSpec:
         return cls(KIND_MULTIPARTITE, r=r, k=k)
 
 
-def _iter_biclique_oriented(
-    g: Hypergraph, u_part: tuple[int, ...], w_part: tuple[int, ...], r: int, s: int
-) -> Iterator[PatternCopy]:
-    """r-by-s bicliques with the r-side in u_part and the s-side in w_part."""
-    if len(u_part) < r or len(w_part) < s:
-        return
-    pos = {w: i for i, w in enumerate(w_part)}
-    w_set = set(w_part)
-    nbr = {u: 0 for u in u_part}
-    for a, b in g.edges:
-        u, w = (a, b) if b in w_set else (b, a)
-        if u in nbr and w in w_set:
-            nbr[u] |= 1 << pos[w]
-    for R in combinations(u_part, r):
-        common = -1
-        for u in R:
-            common &= nbr[u]
-            if not common:
-                break
-        if not common or common.bit_count() < s:
-            continue
-        members = []
-        mask = common
-        while mask:
-            low = mask & -mask
-            members.append(w_part[low.bit_length() - 1])
-            mask ^= low
-        for S in combinations(members, s):
-            yield PatternCopy((R, S))
-
-
 def iter_pattern_copies(
     g: Hypergraph, pattern: PatternSpec, spec: PartitionSpec | None = None
 ) -> Iterator[PatternCopy]:
@@ -118,11 +92,14 @@ def iter_pattern_copies(
         raise ValueError("biclique patterns need a graph host")
     if spec is None or spec.k != 2:
         raise ValueError("oriented biclique patterns need a bipartition of the host")
-    u_part, w_part = spec.parts
+    require_partite(g, spec)
     assert pattern.s is not None
-    yield from _iter_biclique_oriented(g, u_part, w_part, pattern.r, pattern.s)
+    orientations = [spec.parts]
     if pattern.kind == KIND_KRS_EITHER:
-        yield from _iter_biclique_oriented(g, w_part, u_part, pattern.r, pattern.s)
+        orientations.append(spec.parts[::-1])
+    for parts in orientations:
+        masks = _partite_masks(g.edges, parts, pattern.r, pattern.s)
+        yield from _completions(masks, pattern.s, parts[-1])
 
 
 def is_free(

@@ -19,7 +19,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import combinations, permutations, product
 from math import comb, factorial
-from typing import Iterator, Sequence
+from typing import Iterable, Iterator, Sequence
 
 from .hypergraph import Edge, Hypergraph, PartitionSpec, require_partite
 
@@ -58,118 +58,75 @@ def pattern_exponent(r: int, k: int) -> int:
     return sum(r**i for i in range(k))
 
 
-def _adjacency_bits(g: Hypergraph) -> list[int]:
-    """Adjacency rows as int bitmasks; k = 2 only."""
+# The common-completion kernel. Both mask loops yield (S, mask): S is a tuple
+# of r-sets and the mask holds the vertices that complete every transversal of
+# S, as bit positions into a label sequence. A copy is S plus any s-set of them.
+
+_Masks = Iterable[tuple[tuple[tuple[int, ...], ...], int]]
+
+
+def _graph_masks(g: Hypergraph, r: int) -> _Masks:
+    """Unordered graphs: each vertex r-set A with at least r common neighbours above min(A).
+
+    The mask is over vertex ids. Restricting B to vertices above min(A) is what
+    makes each unordered copy appear exactly once.
+    """
     adj = [0] * g.n
     for a, b in g.edges:
         adj[a] |= 1 << b
         adj[b] |= 1 << a
-    return adj
-
-
-def _bit_positions(mask: int) -> list[int]:
-    out = []
-    while mask:
-        low = mask & -mask
-        out.append(low.bit_length() - 1)
-        mask ^= low
-    return out
-
-
-def _iter_graph_unordered(g: Hypergraph, r: int) -> Iterator[PatternCopy]:
-    # Intersect adjacency rows over an r-set A, then pick B inside the common
-    # neighborhood restricted to vertices above min(A); that restriction is what
-    # makes each unordered copy appear exactly once.
-    adj = _adjacency_bits(g)
     for A in combinations(range(g.n), r):
         common = ~((1 << (A[0] + 1)) - 1)
         for a in A:
             common &= adj[a]
             if not common:
                 break
-        if common.bit_count() < r:
-            continue
-        members = _bit_positions(common)
-        for B in combinations(members, r):
-            yield PatternCopy((A, B))
+        if common.bit_count() >= r:
+            yield (A,), common
 
 
-def _count_graph_unordered(g: Hypergraph, r: int) -> int:
-    adj = _adjacency_bits(g)
-    total = 0
-    for A in combinations(range(g.n), r):
-        common = ~((1 << (A[0] + 1)) - 1)
-        for a in A:
-            common &= adj[a]
-            if not common:
-                break
-        total += comb(common.bit_count(), r)
-    return total
+def _partite_masks(
+    edges: Iterable[Edge], parts: Sequence[Sequence[int]], r: int, s: int
+) -> _Masks:
+    """Anchored: each choice S of r-sets in every part but the last with at least s completions.
 
-
-def _singleton_vertices(g: Hypergraph) -> list[int]:
-    return sorted(e[0] for e in g.edges)
-
-
-def _partite_prefix_masks(
-    g: Hypergraph, spec: PartitionSpec
-) -> tuple[dict[tuple[int, ...], int], tuple[int, ...]]:
-    """Map each (k-1)-prefix transversal to the bitmask of last-part completions."""
-    pmap = spec.part_index()
-    last = spec.parts[-1]
-    pos = {v: i for i, v in enumerate(last)}
-    masks: dict[tuple[int, ...], int] = {}
-    k = g.k
-    for e in g.edges:
-        ordered: list[int] = [0] * k
+    Every edge must meet each part once. The mask is over positions in the last part.
+    """
+    pmap = {v: i for i, part in enumerate(parts) for v in part}
+    pos = {v: i for i, v in enumerate(parts[-1])}
+    k = len(parts)
+    prefix_masks: dict[tuple[int, ...], int] = {}
+    for e in edges:
+        ordered = [0] * k
         for v in e:
             ordered[pmap[v]] = v
         prefix = tuple(ordered[:-1])
-        masks[prefix] = masks.get(prefix, 0) | (1 << pos[ordered[-1]])
-    return masks, last
-
-
-def _iter_partite_common(
-    g: Hypergraph, spec: PartitionSpec, r: int
-) -> Iterator[tuple[tuple[tuple[int, ...], ...], int]]:
-    """Yield (S, D-mask) for every choice S of r-sets in the first k-1 parts.
-
-    D is the set of last-part vertices completing every transversal of S to an
-    edge; the mask is over positions in the last part.
-    """
-    masks, _last = _partite_prefix_masks(g, spec)
-    choices = [combinations(part, r) for part in spec.parts[:-1]]
-    for S in product(*choices):
+        prefix_masks[prefix] = prefix_masks.get(prefix, 0) | (1 << pos[ordered[-1]])
+    for S in product(*(combinations(part, r) for part in parts[:-1])):
         common = -1
         for prefix in product(*S):
-            common &= masks.get(prefix, 0)
+            common &= prefix_masks.get(prefix, 0)
             if not common:
                 break
-        yield S, common
+        if common.bit_count() >= s:
+            yield S, common
 
 
-def _iter_partite(g: Hypergraph, spec: PartitionSpec, r: int) -> Iterator[PatternCopy]:
-    if g.k == 1:
-        for A in combinations(_singleton_vertices(g), r):
-            yield PatternCopy((A,))
-        return
-    if any(len(part) < r for part in spec.parts):
-        return
-    last = spec.parts[-1]
-    for S, common in _iter_partite_common(g, spec, r):
-        if common.bit_count() < r:
-            continue
-        members = [last[i] for i in _bit_positions(common)]
-        for B in combinations(members, r):
+def _completions(masks: _Masks, s: int, labels: Sequence[int]) -> Iterator[PatternCopy]:
+    """Expand each (S, mask) into the copies S + (B,), B an s-set of the mask's labels."""
+    for S, mask in masks:
+        members = []
+        while mask:
+            low = mask & -mask
+            members.append(labels[low.bit_length() - 1])
+            mask ^= low
+        for B in combinations(members, s):
             yield PatternCopy(S + (B,))
 
 
-def _count_partite(g: Hypergraph, spec: PartitionSpec, r: int) -> int:
-    if g.k == 1:
-        return comb(len(_singleton_vertices(g)), r)
-    if any(len(part) < r for part in spec.parts):
-        return 0
-    return sum(comb(common.bit_count(), r) for _S, common in _iter_partite_common(g, spec, r))
+def _count(masks: _Masks, s: int) -> int:
+    """Number of copies the masks expand to."""
+    return sum(comb(mask.bit_count(), s) for _S, mask in masks)
 
 
 def enumerate_matchings(g: Hypergraph, r: int) -> Iterator[Matching]:
@@ -283,6 +240,18 @@ def _iter_kgraph_unordered(g: Hypergraph, r: int) -> Iterator[PatternCopy]:
                 yield copy
 
 
+def _copy_masks(g: Hypergraph, r: int, spec: PartitionSpec | None) -> tuple[_Masks, Sequence[int]]:
+    """The mask loop for the anchored, k = 1 and unordered-graph paths, and its labels."""
+    if spec is not None:
+        require_partite(g, spec)
+        parts = spec.parts
+    elif g.k == 1:
+        parts = (tuple(range(g.n)),)
+    else:
+        return _graph_masks(g, r), range(g.n)
+    return _partite_masks(g.edges, parts, r, r), parts[-1]
+
+
 def enumerate_copies(
     g: Hypergraph, r: int, spec: PartitionSpec | None = None
 ) -> Iterator[PatternCopy]:
@@ -294,14 +263,10 @@ def enumerate_copies(
         raise ValueError("pattern side r must be >= 1")
     if r * g.k > g.n:
         return iter(())
-    if spec is not None:
-        require_partite(g, spec)
-        return _iter_partite(g, spec, r)
-    if g.k == 1:
-        return _iter_partite(g, PartitionSpec((tuple(range(g.n)),)), r)
-    if g.k == 2:
-        return _iter_graph_unordered(g, r)
-    return _iter_kgraph_unordered(g, r)
+    if spec is None and g.k >= 3:
+        return _iter_kgraph_unordered(g, r)
+    masks, labels = _copy_masks(g, r, spec)
+    return _completions(masks, r, labels)
 
 
 def count_copies(g: Hypergraph, r: int, spec: PartitionSpec | None = None) -> int:
@@ -310,14 +275,9 @@ def count_copies(g: Hypergraph, r: int, spec: PartitionSpec | None = None) -> in
         raise ValueError("pattern side r must be >= 1")
     if r * g.k > g.n:
         return 0
-    if spec is not None:
-        require_partite(g, spec)
-        return _count_partite(g, spec, r)
-    if g.k == 1:
-        return comb(len(_singleton_vertices(g)), r)
-    if g.k == 2:
-        return _count_graph_unordered(g, r)
-    return sum(1 for _ in _iter_kgraph_unordered(g, r))
+    if spec is None and g.k >= 3:
+        return sum(1 for _ in _iter_kgraph_unordered(g, r))
+    return _count(_copy_masks(g, r, spec)[0], r)
 
 
 def copy_count_upper_bound(m: int, r: int, k: int) -> int:

@@ -156,16 +156,16 @@ class TestExtract:
 
     def test_byte_identical_reruns_and_jobs(self, capsys, tmp_path):
         outputs = []
-        for tag, jobs in (("a", "1"), ("b", "1"), ("c", "3")):
+        for tag in ("a", "b"):
             prefix = str(tmp_path / tag)
             code, _, _ = run_cli(
                 capsys,
                 "extract", "--construct", "--k", "2", "--r", "2", "--n", "3",
-                "--trials", "12", "--seed", "41", "--jobs", jobs, "--out", prefix,
+                "--trials", "12", "--seed", "41", "--out", prefix,
             )
             assert code == EXIT_OK
             outputs.append((tmp_path / (tag + ".csv")).read_bytes())
-        assert outputs[0] == outputs[1] == outputs[2]
+        assert outputs[0] == outputs[1]
 
     def test_empty_host_single_row(self, capsys, tmp_path):
         path = tmp_path / "empty.txt"
@@ -184,6 +184,14 @@ class TestExtract:
         code, _, _ = run_cli(
             capsys,
             "extract", "--construct", "--k", "2", "--r", "2", "--n", "2", "--trials", "0",
+        )
+        assert code == EXIT_USAGE
+
+    @pytest.mark.parametrize("flag", [("--jobs", "2"), ("--format", "csv")])
+    def test_removed_flags_are_usage_errors(self, capsys, flag):
+        code, _, _ = run_cli(
+            capsys,
+            "extract", "--construct", "--k", "2", "--r", "2", "--n", "2", *flag,
         )
         assert code == EXIT_USAGE
 
@@ -210,6 +218,22 @@ class TestOracle:
         assert code == EXIT_OK
         payload = json.loads(out)
         assert payload["optimum"] == 5
+
+    def test_oriented_parts_must_fit_the_host(self, capsys, tmp_path):
+        host = tmp_path / "h.txt"
+        host.write_text("2 6 6\n0 1\n0 2\n0 3\n1 2\n1 3\n4 5\n")
+        # vertices 4 and 5 uncovered; then edge 0-1 inside a part
+        for i, parts in enumerate(("0 1\n2 3\n", "0 1 4\n2 3 5\n")):
+            parts_file = tmp_path / f"h{i}.parts"
+            parts_file.write_text(parts)
+            code, out, err = run_cli(
+                capsys,
+                "oracle", "--input", str(host), "--parts", str(parts_file),
+                "--r", "2", "--s", "2",
+            )
+            assert code == EXIT_IO
+            assert out == ""
+            assert "not partite" in err
 
     def test_budget_exhaustion_still_exits_zero(self, capsys):
         code, out, _ = run_cli(

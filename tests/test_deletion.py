@@ -180,13 +180,6 @@ class TestRunTrials:
         assert summary.guarantee == deletion_params(27, 2, 2).guarantee
         assert summary.q == 3 and summary.m == 27
 
-    def test_workers_do_not_change_output(self):
-        g, _ = complete_bipartite(4, 8)
-        one = run_trials(g, 2, num_trials=24, base_seed=5, workers=1)
-        many = run_trials(g, 2, num_trials=24, base_seed=5, workers=4)
-        assert one == many
-        assert reports_to_csv(one.reports) == reports_to_csv(many.reports)
-
     def test_policy_recorded(self):
         g, _ = complete_bipartite(3, 3)
         summary = run_trials(g, 2, num_trials=3, base_seed=1, edge_choice="greedy")

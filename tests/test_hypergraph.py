@@ -176,15 +176,6 @@ class TestSampling:
         assert hash(g) == before_hash == hash(Hypergraph(g.k, g.n, g.edges))
         assert repr(g) == before_repr
 
-    def test_workers_agree_when_cache_fills_concurrently(self):
-        def fresh_host():
-            return build_construction(6, 2, 2)[0]
-
-        serial = run_trials(fresh_host(), 2, 8, 3, None, "random", workers=1)
-        # Every worker's first trial finds the new host's sorted order unbuilt.
-        threaded = run_trials(fresh_host(), 2, 8, 3, None, "random", workers=2)
-        assert reports_to_csv(threaded.reports) == reports_to_csv(serial.reports)
-
     def test_mean_size_matches_p_m(self):
         g, _ = complete_bipartite(25, 40)
         p, m, seeds = 0.3, 1000, 1000

@@ -9,6 +9,7 @@ import pytest
 from krsfree import (
     Hypergraph,
     OracleResult,
+    PartitionSpec,
     PatternSpec,
     complete_bipartite,
     complete_multipartite,
@@ -78,6 +79,15 @@ class TestIsFree:
         assert not free
         with pytest.raises(ValueError, match="bipartition"):
             is_free(g, PatternSpec.krs_oriented(2, 3))
+        g = Hypergraph.from_edges(2, 6, [(0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (4, 5)])
+        # vertices 4 and 5 uncovered; then edge 0-1 inside a part
+        for parts in (((0, 1), (2, 3)), ((0, 1, 4), (2, 3, 5))):
+            spec = PartitionSpec(parts)
+            for pattern in (PatternSpec.krs_oriented(2, 2), PatternSpec.krs_either(2, 2)):
+                with pytest.raises(ValueError, match="not partite"):
+                    is_free(g, pattern, spec)
+                with pytest.raises(ValueError, match="not partite"):
+                    max_free_subgraph(g, pattern, spec)
 
     def test_orientation_counts(self):
         g, spec = complete_bipartite(3, 3)
