@@ -24,6 +24,9 @@ from krsfree import (
     enumerate_matchings,
     extensions_of_matching,
     pattern_exponent,
+    reports_to_csv,
+    run_trials,
+    summary_to_json,
 )
 from krsfree.oracle import iter_pattern_copies
 
@@ -202,6 +205,73 @@ class TestFrozenCopyOrder:
             for pattern in (PatternSpec.krs_oriented(2, 3), PatternSpec.krs_either(2, 3)):
                 lists.append(list(iter_pattern_copies(g, pattern, spec)))
         assert self._digest(lists) == self.COPY_DIGESTS["k6_8_krs"]
+
+
+class TestFrozenMatchingOrder:
+    """Matching order, unordered k-graph copy order and one "lex" batch, frozen as digests.
+
+    Unordered k >= 3 copies are found by extending matchings in order, and the
+    "lex" deletion policy deletes by copy order, so all three depend on the
+    order in which matchings are enumerated. The constants were recorded
+    before the matching recursions were replaced by one mask loop.
+    """
+
+    DIGESTS = {
+        "matchings_gnp": (2892, "bcb023d43b4f941e82a941ad45968a8b190e343c51d538f0cf76c14f4278a865"),
+        "matchings_c2_2_3": (6132, "c0c1b3cc8fc8696d2136f1057b874a144d06697cd43740087922aaff27014086"),
+        "copies_c2_2_3": (649, "bd711d7c9ceee55f9f28568ce2b717d11bff4fcd0e773b59c1acf726eb84f7db"),
+        "copies_c3_2_3": (146, "7bce4ea16aa9aca05694754c140bf3212eb837520e65900f7e22886fa4be9d5f"),
+        "lex_c2_2_3": "1c80bbd3162a5d0b77bf2735c7352da806a86cd1e62bf908cb19cb27fbccfc31",
+    }
+
+    @staticmethod
+    def _digest(lists) -> tuple[int, str]:
+        h = hashlib.sha256()
+        total = 0
+        for items in lists:
+            total += len(items)
+            h.update(repr(items).encode())
+        return total, h.hexdigest()
+
+    @staticmethod
+    def _samples(n: int, ps):
+        g, _, _ = build_construction(n, 2, 3)
+        for p in ps:
+            for seed in range(2):
+                yield bernoulli_edge_sample(g, p, seed).as_hypergraph()
+
+    @staticmethod
+    def _matching_lists(hosts):
+        return [
+            [sorted(m.edges) for m in enumerate_matchings(g, r)] for g in hosts for r in (1, 2, 3)
+        ]
+
+    def test_graph_matching_order(self):
+        hosts = [
+            random_graph(n, d, random.Random(seed)) for seed in range(3) for n, d in ((9, 0.5), (12, 0.4))
+        ]
+        assert self._digest(self._matching_lists(hosts)) == self.DIGESTS["matchings_gnp"]
+
+    def test_kgraph_matching_order(self):
+        hosts = list(self._samples(2, (0.5, 0.9)))
+        assert self._digest(self._matching_lists(hosts)) == self.DIGESTS["matchings_c2_2_3"]
+
+    def test_unordered_kgraph_copy_order(self):
+        lists = [[c.parts for c in enumerate_copies(sub, 2)] for sub in self._samples(2, (0.7, 0.9))]
+        assert self._digest(lists) == self.DIGESTS["copies_c2_2_3"]
+        # The full (3,2,3) host is too large for a dense sample, so keep the
+        # sampled edges inside its first 20 vertices (parts of sizes 3, 9, 8).
+        lists = []
+        for sub in self._samples(3, (0.5, 0.6)):
+            small = Hypergraph.from_edges(3, 20, (e for e in sub.edges if e[-1] < 20))
+            lists.append([c.parts for c in enumerate_copies(small, 2)])
+        assert self._digest(lists) == self.DIGESTS["copies_c3_2_3"]
+
+    def test_unanchored_lex_batch(self):
+        g, _, _ = build_construction(2, 2, 3)
+        summary = run_trials(g, 2, 6, 3, None, "lex", p=0.7)
+        text = reports_to_csv(summary.reports) + summary_to_json(summary)
+        assert hashlib.sha256(text.encode()).hexdigest() == self.DIGESTS["lex_c2_2_3"]
 
 
 class TestMatchings:
