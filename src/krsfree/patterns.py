@@ -61,8 +61,10 @@ def pattern_exponent(r: int, k: int) -> int:
 # The common-completion kernel. Both mask loops yield (S, mask): S is a tuple
 # of r-sets and the mask holds the vertices that complete every transversal of
 # S, as bit positions into a label sequence. A copy is S plus any s-set of them.
+# _matching_masks has the same shape for matchings: S is an (r-1)-matching and
+# the mask holds the edges that extend it, so _count with s = 1 counts them.
 
-_Masks = Iterable[tuple[tuple[tuple[int, ...], ...], int]]
+_Masks = Iterable[tuple[tuple, int]]
 
 
 def _graph_masks(g: Hypergraph, r: int) -> _Masks:
@@ -125,8 +127,37 @@ def _completions(masks: _Masks, s: int, labels: Sequence[int]) -> Iterator[Patte
 
 
 def _count(masks: _Masks, s: int) -> int:
-    """Number of copies the masks expand to."""
+    """Number of s-sets the masks expand to: copies, or matchings when s = 1."""
     return sum(comb(mask.bit_count(), s) for _S, mask in masks)
+
+
+def _matching_masks(g: Hypergraph, r: int) -> _Masks:
+    """Each (r-1)-matching with the later edges that extend it to an r-matching.
+
+    Edges are bit positions into the sorted edge order. The (r-1)-matchings come
+    as sorted index tuples in lexicographic order, each with the mask of edges
+    after its last index that are disjoint from all of it.
+    """
+    edges = g.sorted_edges()
+    touching = [0] * g.n
+    for i, e in enumerate(edges):
+        for v in e:
+            touching[v] |= 1 << i
+
+    def grow(chosen: tuple[int, ...], allowed: int) -> _Masks:
+        if len(chosen) == r - 1:
+            yield chosen, allowed
+            return
+        while allowed:
+            low = allowed & -allowed
+            allowed ^= low
+            i = low.bit_length() - 1
+            later = allowed
+            for v in edges[i]:
+                later &= ~touching[v]
+            yield from grow(chosen + (i,), later)
+
+    return grow((), (1 << len(edges)) - 1)
 
 
 def enumerate_matchings(g: Hypergraph, r: int) -> Iterator[Matching]:
@@ -134,42 +165,19 @@ def enumerate_matchings(g: Hypergraph, r: int) -> Iterator[Matching]:
     if r < 1:
         raise ValueError("matching size r must be >= 1")
     edges = g.sorted_edges()
-    masks = [sum(1 << v for v in e) for e in edges]
-    total = len(edges)
-
-    def rec(start: int, used: int, chosen: list[Edge]) -> Iterator[Matching]:
-        if len(chosen) == r:
-            yield Matching(frozenset(chosen))
-            return
-        need = r - len(chosen)
-        for i in range(start, total - need + 1):
-            if masks[i] & used:
-                continue
-            chosen.append(edges[i])
-            yield from rec(i + 1, used | masks[i], chosen)
-            chosen.pop()
-
-    yield from rec(0, 0, [])
+    for chosen, mask in _matching_masks(g, r):
+        prefix = [edges[i] for i in chosen]
+        while mask:
+            low = mask & -mask
+            mask ^= low
+            yield Matching(frozenset(prefix + [edges[low.bit_length() - 1]]))
 
 
 def count_matchings(g: Hypergraph, r: int) -> int:
     """Number of r-edge matchings, without materializing them."""
     if r < 1:
         raise ValueError("matching size r must be >= 1")
-    edges = g.sorted_edges()
-    masks = [sum(1 << v for v in e) for e in edges]
-    total = len(edges)
-
-    def rec(start: int, used: int, need: int) -> int:
-        if need == 0:
-            return 1
-        acc = 0
-        for i in range(start, total - need + 1):
-            if not masks[i] & used:
-                acc += rec(i + 1, used | masks[i], need - 1)
-        return acc
-
-    return rec(0, 0, r)
+    return _count(_matching_masks(g, r), 1)
 
 
 def _canonical_unordered(parts: Sequence[Sequence[int]]) -> PatternCopy:
