@@ -16,6 +16,7 @@ import math
 import sys
 
 from .deletion import (
+    _fmt_float,
     deletion_params,
     reports_to_csv,
     run_trials,
@@ -34,6 +35,7 @@ from .hypergraph import (
     PartitionSpec,
     read_hypergraph,
     read_partition,
+    require_partite,
     write_hypergraph,
     write_partition,
 )
@@ -58,13 +60,14 @@ class UsageError(Exception):
 
 
 class _Parser(argparse.ArgumentParser):
+    # Flags must be spelled out: with prefix matching, "extract --s 9" would
+    # silently set --seed.
+    def __init__(self, *args, **kwargs) -> None:
+        super().__init__(*args, allow_abbrev=False, **kwargs)
+
     # argparse exits with status 2 on bad flags; the contract here is status 1.
     def error(self, message: str) -> None:  # type: ignore[override]
         raise UsageError(message)
-
-
-def _fmt(x: float) -> str:
-    return f"{x:.12g}"
 
 
 def _add_input_flags(p: argparse.ArgumentParser) -> None:
@@ -73,7 +76,6 @@ def _add_input_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--construct", action="store_true", help="build the tight host instead of reading one")
     p.add_argument("--k", type=int, help="uniformity for --construct")
     p.add_argument("--r", type=int, help="pattern side r")
-    p.add_argument("--s", type=int, help="biclique second side s (graphs)")
     p.add_argument("--n", type=int, help="base size n for --construct")
 
 
@@ -147,6 +149,11 @@ def cmd_extract(args: argparse.Namespace) -> int:
         raise UsageError("--trials must be >= 1")
     if args.seed < 0:
         raise UsageError("--seed must be >= 0")
+    # A partition file is checked once on the host: each trial sees only its
+    # sample, which may miss the edges that break the partition. A built
+    # host's partition fits by construction.
+    if args.parts:
+        require_partite(g, spec)
     summary = run_trials(
         g,
         r,
@@ -163,10 +170,10 @@ def cmd_extract(args: argparse.Namespace) -> int:
     sys.stdout.write(
         "trials {n} mean {mean} min {mn} max {mx} guarantee {g}\n".format(
             n=summary.num_trials,
-            mean=_fmt(summary.mean_final_size),
+            mean=_fmt_float(summary.mean_final_size),
             mn=summary.min_final_size,
             mx=summary.max_final_size,
-            g=_fmt(summary.guarantee),
+            g=_fmt_float(summary.guarantee),
         )
     )
     return EXIT_OK
@@ -175,18 +182,16 @@ def cmd_extract(args: argparse.Namespace) -> int:
 def cmd_oracle(args: argparse.Namespace) -> int:
     g, spec = _load_host(args)
     r = _require_r(args)
-    if g.k == 2:
-        if args.s is not None:
-            if args.orientation == "either":
-                pattern = PatternSpec.krs_either(r, args.s)
-            else:
-                pattern = PatternSpec.krs_oriented(r, args.s)
-            if spec is None:
-                raise UsageError("biclique oracle with --s needs --parts or --construct")
-        else:
-            pattern = PatternSpec.krr(r)
+    if args.s is None:
+        pattern = PatternSpec.krr(r) if g.k == 2 else PatternSpec.multipartite(r, g.k)
+    elif g.k != 2:
+        raise UsageError("--s needs a graph host (k = 2)")
+    elif spec is None:
+        raise UsageError("biclique oracle with --s needs --parts or --construct")
+    elif args.orientation == "either":
+        pattern = PatternSpec.krs_either(r, args.s)
     else:
-        pattern = PatternSpec.multipartite(r, g.k)
+        pattern = PatternSpec.krs_oriented(r, args.s)
     result = max_free_subgraph(g, pattern, spec, budget=args.budget)
     payload = {
         "schema": "v1",
@@ -221,7 +226,7 @@ def cmd_certify(args: argparse.Namespace) -> int:
         "lhs": report.lhs,
         "rhs": report.rhs,
         "average_degree": str(report.average_degree),
-        "average_degree_float": float(_fmt(float(report.average_degree))),
+        "average_degree_float": float(_fmt_float(float(report.average_degree))),
         "verdict": report.verdict,
     }
     sys.stdout.write(json.dumps(payload, indent=2, sort_keys=True) + "\n")
@@ -236,6 +241,8 @@ def cmd_bounds(args: argparse.Namespace) -> int:
     if args.n is None or args.n < 1:
         raise UsageError("need --n >= 1 (table covers bases 1..n)")
     r, k = args.r, args.k
+    if k != 2 and args.s is not None:
+        raise UsageError("--s needs --k 2")
     s = args.s if args.s is not None else r
     if k == 2 and s < r:
         raise UsageError("need s >= r for the graph bound")
@@ -251,8 +258,8 @@ def cmd_bounds(args: argparse.Namespace) -> int:
             "{n},{m},{lo},{up},{opt},{cert}".format(
                 n=base,
                 m=cspec.m,
-                lo=_fmt(guarantee),
-                up=_fmt(upper),
+                lo=_fmt_float(guarantee),
+                up=_fmt_float(upper),
                 opt=result.optimum if result.proof_of_optimality else "",
                 cert=str(result.proof_of_optimality).lower(),
             )
@@ -319,6 +326,7 @@ def build_parser() -> _Parser:
         description="Prints an OracleResult as JSON (schema v1). Budget exhaustion clears proof_of_optimality but still exits 0.",
     )
     _add_input_flags(p)
+    p.add_argument("--s", type=int, help="biclique second side s (graphs; needs a partition)")
     p.add_argument("--orientation", choices=["proof", "either"], default="proof")
     p.add_argument("--budget", type=int, default=2_000_000)
     p.set_defaults(func=cmd_oracle)
@@ -329,6 +337,7 @@ def build_parser() -> _Parser:
         description="Prints a CertificateReport as JSON (schema v1). --subgraph restricts to an edge subset of the host.",
     )
     _add_input_flags(p)
+    p.add_argument("--s", type=int, help="biclique second side s (default r)")
     p.add_argument("--subgraph", metavar="PATH", help="hypergraph file whose edges form the subgraph")
     p.set_defaults(func=cmd_certify)
 

@@ -16,7 +16,7 @@ import csv
 import io
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from math import comb, factorial
 
 import numpy as np
@@ -312,47 +312,22 @@ def reports_to_csv(reports: tuple[DeletionRunReport, ...] | list[DeletionRunRepo
     return buf.getvalue()
 
 
-def _report_fields(report: DeletionRunReport) -> dict:
-    return {
-        "seed": report.seed,
-        "p": float(_fmt_float(report.p)),
-        "edges_sampled": report.edges_sampled,
-        "copies_found": report.copies_found,
-        "edges_deleted": report.edges_deleted,
-        "final_size": report.final_size,
-        "freeness_verified": report.freeness_verified,
-        "generator": report.generator,
-        "policy": report.policy,
-        "vacuous_regime": report.vacuous_regime,
-    }
+def _json_fields(record: DeletionRunReport | TrialSummary) -> dict:
+    """The record's dataclass fields, floats rounded through _fmt_float."""
+    out = {}
+    for f in fields(record):
+        value = getattr(record, f.name)
+        out[f.name] = float(_fmt_float(value)) if isinstance(value, float) else value
+    return out
 
 
 def report_to_json_dict(report: DeletionRunReport) -> dict:
-    return {"schema": "v1", **_report_fields(report)}
+    return {"schema": "v1", **_json_fields(report)}
 
 
 def summary_to_json_dict(summary: TrialSummary) -> dict:
-    return {
-        "schema": "v1",
-        "m": summary.m,
-        "r": summary.r,
-        "k": summary.k,
-        "q": summary.q,
-        "p": float(_fmt_float(summary.p)),
-        "policy": summary.policy,
-        "generator": summary.generator,
-        "num_trials": summary.num_trials,
-        "base_seed": summary.base_seed,
-        "guarantee": float(_fmt_float(summary.guarantee)),
-        "mean_final_size": float(_fmt_float(summary.mean_final_size)),
-        "min_final_size": summary.min_final_size,
-        "max_final_size": summary.max_final_size,
-        "mean_copies_found": float(_fmt_float(summary.mean_copies_found)),
-        "fraction_meeting_guarantee": float(_fmt_float(summary.fraction_meeting_guarantee)),
-        "max_meets_guarantee": summary.max_meets_guarantee,
-        "vacuous_regime": summary.vacuous_regime,
-        "reports": [_report_fields(rep) for rep in summary.reports],
-    }
+    reports = [_json_fields(rep) for rep in summary.reports]
+    return {"schema": "v1", **_json_fields(summary), "reports": reports}
 
 
 def summary_to_json(summary: TrialSummary) -> str:

@@ -133,12 +133,7 @@ def require_partite(g: Hypergraph, spec: PartitionSpec) -> None:
 
 def complete_bipartite(n_u: int, n_w: int) -> tuple[Hypergraph, PartitionSpec]:
     """Complete bipartite graph on parts {0..n_u-1} and {n_u..n_u+n_w-1}."""
-    if n_u < 0 or n_w < 0:
-        raise ValueError("part sizes must be >= 0")
-    edges = frozenset((u, n_u + w) for u in range(n_u) for w in range(n_w))
-    g = Hypergraph(2, n_u + n_w, edges)
-    spec = PartitionSpec((tuple(range(n_u)), tuple(range(n_u, n_u + n_w))))
-    return g, spec
+    return complete_multipartite((n_u, n_w))
 
 
 def complete_multipartite(sizes: Sequence[int]) -> tuple[Hypergraph, PartitionSpec]:
@@ -155,7 +150,8 @@ def complete_multipartite(sizes: Sequence[int]) -> tuple[Hypergraph, PartitionSp
     for s in sizes:
         parts.append(tuple(range(offset, offset + s)))
         offset += s
-    edges = frozenset(tuple(sorted(t)) for t in product(*parts))
+    # Consecutive increasing parts make every transversal already sorted.
+    edges = frozenset(product(*parts))
     g = Hypergraph(len(sizes), offset, edges)
     return g, PartitionSpec(tuple(parts))
 

@@ -28,7 +28,6 @@ from .patterns import (
     _completions,
     _partite_masks,
     enumerate_copies,
-    pattern_exponent,
 )
 
 KIND_KRR = "rr-unordered"
@@ -236,13 +235,11 @@ def f_lower_report(
     oracle = max_free_subgraph(g, pattern, spec, budget)
     trial_spec = spec if pattern.kind == KIND_MULTIPARTITE else None
     summary = run_trials(g, pattern.r, num_trials, base_seed, spec=trial_spec)
-    q = pattern_exponent(pattern.r, g.k)
-    guarantee = 0.25 * g.m ** ((q - 1) / q) if g.m >= 1 else 0.0
     return FreeSubgraphComparison(
         m=g.m,
         r=pattern.r,
         k=g.k,
-        guarantee=guarantee,
+        guarantee=summary.guarantee,
         best_of_trials=summary.max_final_size,
         num_trials=num_trials,
         base_seed=base_seed,

@@ -195,6 +195,23 @@ class TestExtract:
         )
         assert code == EXIT_USAGE
 
+    @pytest.mark.parametrize("seed", ["0", "1", "2", "3"])
+    def test_parts_must_fit_the_host_at_every_seed(self, capsys, tmp_path, seed):
+        # Edge 0-1 lies inside a part; whether a trial's sample keeps it
+        # depends on the seed, but the host never fits the partition.
+        host = tmp_path / "h.txt"
+        host.write_text("2 6 6\n0 1\n0 2\n0 3\n1 2\n1 3\n4 5\n")
+        parts = tmp_path / "h.parts"
+        parts.write_text("0 1 4\n2 3 5\n")
+        code, out, err = run_cli(
+            capsys,
+            "extract", "--input", str(host), "--parts", str(parts),
+            "--r", "2", "--trials", "5", "--seed", seed,
+        )
+        assert code == EXIT_IO
+        assert out == ""
+        assert "not partite" in err
+
 
 class TestOracle:
     def test_k24_optimum(self, capsys, k24_file):
@@ -234,6 +251,16 @@ class TestOracle:
             assert code == EXIT_IO
             assert out == ""
             assert "not partite" in err
+
+    def test_s_on_a_kgraph_is_usage_error(self, capsys):
+        code, out, err = run_cli(
+            capsys,
+            "oracle", "--construct", "--k", "3", "--r", "2", "--n", "2",
+            "--s", "3", "--orientation", "either",
+        )
+        assert code == EXIT_USAGE
+        assert out == ""
+        assert "--s" in err
 
     def test_budget_exhaustion_still_exits_zero(self, capsys):
         code, out, _ = run_cli(
@@ -303,12 +330,22 @@ class TestBounds:
     def test_usage_errors(self, capsys):
         assert run_cli(capsys, "bounds", "--r", "1", "--n", "2")[0] == EXIT_USAGE
         assert run_cli(capsys, "bounds", "--r", "3", "--s", "2", "--n", "2")[0] == EXIT_USAGE
+        assert run_cli(capsys, "bounds", "--r", "2", "--k", "3", "--s", "9", "--n", "1")[0] == EXIT_USAGE
 
 
 class TestParserBehaviour:
     def test_unknown_flag(self, capsys):
         code, _, _ = run_cli(capsys, "count", "--frobnicate")
         assert code == EXIT_USAGE
+
+    @pytest.mark.parametrize("command", ["count", "extract"])
+    def test_s_is_only_on_commands_that_read_it(self, capsys, command):
+        code, out, _ = run_cli(
+            capsys,
+            command, "--construct", "--k", "2", "--r", "2", "--n", "2", "--s", "9",
+        )
+        assert code == EXIT_USAGE
+        assert out == ""
 
     def test_unknown_command(self, capsys):
         code, _, _ = run_cli(capsys, "transmogrify")

@@ -5,8 +5,11 @@ from __future__ import annotations
 import hashlib
 import math
 import random
+import types
 
 import pytest
+
+import krsfree
 
 from krsfree import (
     EdgeSubset,
@@ -91,6 +94,31 @@ class TestBuilders:
     def test_single_part_is_singletons(self):
         g, _ = complete_multipartite([4])
         assert g.edges == frozenset({(0,), (1,), (2,), (3,)})
+
+
+class TestPackageSurface:
+    PUBLIC_NAMES = """
+        GENERATOR_ID Edge EdgeSubset Hypergraph PartitionSpec bernoulli_edge_sample
+        complete_bipartite complete_multipartite hypergraph_from_text hypergraph_to_text
+        is_partite link partition_from_text partition_to_text read_hypergraph read_partition
+        write_hypergraph write_partition
+        Matching PatternCopy copy_count_upper_bound copy_count_upper_bound_relaxed count_copies
+        count_matchings enumerate_copies enumerate_matchings extensions_of_matching
+        pattern_exponent
+        DeletionParams DeletionRunReport ExpectationBound TrialSummary deletion_params
+        derive_trial_seed expectation_lower_bound extract_free_subgraph reports_to_csv
+        run_trials summary_to_json
+        CapacityError CertificateReport ConstructionSpec VERDICT_INCONCLUSIVE VERDICT_PROVES
+        build_construction common_extension_count_dS edge_density_a generalized_binomial
+        kst_certificate proposition_lower_bound theorem_upper_bound
+        FreeSubgraphComparison OracleResult PatternSpec f_lower_report is_free max_free_subgraph
+    """.split()
+
+    def test_all_lists_the_public_names(self):
+        assert len(self.PUBLIC_NAMES) == 57
+        assert sorted(krsfree.__all__) == sorted(self.PUBLIC_NAMES)
+        for name in krsfree.__all__:
+            assert not isinstance(getattr(krsfree, name), types.ModuleType), name
 
 
 class TestEdgeSubset:
