@@ -40,6 +40,39 @@ def brute_copies_unordered(g: Hypergraph, r: int) -> set[tuple[tuple[int, ...], 
     return found
 
 
+def brute_graph_masks(g: Hypergraph, r: int) -> list[tuple[tuple[int, ...], tuple[int, ...]]]:
+    """The unordered-graph r-set scan over all C(n, r) vertex r-sets.
+
+    Lists (A, B) in lexicographic order of A, for every r-set A with at least r
+    common neighbours above min(A); B is those neighbours, sorted. This is the
+    sequence the library's graph kernel must produce, in the same order.
+    """
+    nbrs: dict[int, set[int]] = {v: set() for v in range(g.n)}
+    for a, b in g.edges:
+        nbrs[a].add(b)
+        nbrs[b].add(a)
+    found = []
+    for A in combinations(range(g.n), r):
+        common = {b for b in nbrs[A[0]] if b > A[0]}
+        for a in A[1:]:
+            common &= nbrs[a]
+        if len(common) >= r:
+            found.append((A, tuple(sorted(common))))
+    return found
+
+
+def without_isolated(g: Hypergraph) -> tuple[Hypergraph, list[int]]:
+    """g on its non-isolated vertices, relabelled in increasing order, with the old labels.
+
+    An isolated vertex lies in no copy, and the relabelling keeps vertex order,
+    so referees can run on the small graph and map their answers back.
+    """
+    labels = sorted({v for e in g.edges for v in e})
+    pos = {v: i for i, v in enumerate(labels)}
+    small = Hypergraph.from_edges(g.k, len(labels), (tuple(pos[v] for v in e) for e in g.edges))
+    return small, labels
+
+
 def brute_copies_oriented(g: Hypergraph, U, W, r: int, s: int) -> list[tuple[tuple[int, ...], ...]]:
     """r-by-s bicliques (R, S) with R inside U and S inside W, in lexicographic order of (R, S)."""
     found = []

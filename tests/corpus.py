@@ -39,6 +39,26 @@ def graph_corpus(count: int = 500, max_n: int = 10, seed: int = 20260814) -> lis
     return graphs[:count]
 
 
+def sparse_graph_corpus(seed: int = 6161) -> list[Hypergraph]:
+    """Sparse graphs: a few edges among 10^3 to 10^5 mostly isolated vertices, and G(n, c/n).
+
+    The isolated-vertex hosts place a random graph, or a K_{3,3} plus a path,
+    on a few vertices spread over the whole range, so copies join far-apart ids.
+    """
+    rng = random.Random(seed)
+    graphs = []
+    for n in (1_000, 10_000, 100_000):
+        verts = sorted(rng.sample(range(n), 12))
+        graphs.append(Hypergraph.from_edges(2, n, (e for e in combinations(verts, 2) if rng.random() < 0.5)))
+        a, b = verts[:6:2], verts[1:6:2]
+        path = list(zip(verts[6:], verts[7:]))
+        graphs.append(Hypergraph.from_edges(2, n, list(product(a, b)) + path))
+    for n in (30, 120):
+        for c in (2.0, 6.0):
+            graphs.append(random_graph(n, c / n, rng))
+    return graphs
+
+
 def partite_host(sizes: tuple[int, ...], density: float, rng: random.Random,
                  min_edges: int = 0) -> tuple[Hypergraph, PartitionSpec]:
     """Random subgraph of a complete multipartite host, topped up to min_edges."""

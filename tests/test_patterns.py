@@ -29,6 +29,7 @@ from krsfree import (
     summary_to_json,
 )
 from krsfree.oracle import iter_pattern_copies
+from krsfree.patterns import _copy_masks
 
 from bruteforce import (
     brute_copies_unordered,
@@ -36,8 +37,16 @@ from bruteforce import (
     brute_count_kgraph_unordered,
     brute_count_matchings,
     brute_count_partite_copies,
+    brute_graph_masks,
+    without_isolated,
 )
-from corpus import graph_corpus, kgraph_corpus, partite_corpus_small, partite_host, random_graph
+from corpus import (
+    graph_corpus,
+    kgraph_corpus,
+    partite_corpus_small,
+    partite_host,
+    random_graph,
+)
 
 
 def k33_minus_edge() -> Hypergraph:
@@ -110,6 +119,27 @@ class TestGraphCopies:
         for g in graph_corpus(25, max_n=8, seed=202):
             got = {c.parts for c in enumerate_copies(g, 2)}
             assert got == brute_copies_unordered(g, 2)
+
+
+class TestGraphKernel:
+    """The unordered graph kernel against the C(n, r) referee scan, in order.
+
+    Copy order, the "lex" policy and the is_free witness all follow the order
+    of the kernel's (A, mask) pairs, so the pairs are compared as sequences.
+    """
+
+    @staticmethod
+    def _kernel_pairs(g: Hypergraph, r: int):
+        masks, labels = _copy_masks(g, r, None)
+        return [
+            (A, tuple(labels[i] for i in range(mask.bit_length()) if mask >> i & 1))
+            for (A,), mask in masks
+        ]
+
+    def test_matches_referee_on_graph_corpus(self):
+        for g in graph_corpus(150, seed=1212):
+            for r in (1, 2, 3):
+                assert self._kernel_pairs(g, r) == brute_graph_masks(g, r)
 
 
 class TestPartiteCopies:
