@@ -16,6 +16,8 @@ All counts are exact integers.
 
 from __future__ import annotations
 
+from bisect import bisect_right
+from collections import Counter
 from dataclasses import dataclass
 from itertools import combinations, permutations, product
 from math import comb, factorial
@@ -67,24 +69,64 @@ def pattern_exponent(r: int, k: int) -> int:
 _Masks = Iterable[tuple[tuple, int]]
 
 
-def _graph_masks(g: Hypergraph, r: int) -> _Masks:
+def _graph_masks(g: Hypergraph, r: int) -> tuple[_Masks, list[int]]:
     """Unordered graphs: each vertex r-set A with at least r common neighbours above min(A).
 
-    The mask is over vertex ids. Restricting B to vertices above min(A) is what
-    makes each unordered copy appear exactly once.
+    Restricting B to vertices above min(A) is what makes each unordered copy
+    appear exactly once. A and its common neighbours induce a subgraph of
+    minimum degree r, so the scan runs on the r-core, relabelled in increasing
+    order to dense positions: the masks are over those positions, and the
+    returned labels are the core's vertices. The rest of A is drawn from the
+    b > min(A) that close at least r wedges min(A)-w-b with w above min(A), so
+    the cost follows the core's wedges, not C(n, r). The pairs come in
+    lexicographic order of A, as a scan of all vertex r-sets would give them.
     """
-    adj = [0] * g.n
+    nbrs: dict[int, set[int]] = {}
     for a, b in g.edges:
-        adj[a] |= 1 << b
-        adj[b] |= 1 << a
-    for A in combinations(range(g.n), r):
-        common = ~((1 << (A[0] + 1)) - 1)
-        for a in A:
-            common &= adj[a]
-            if not common:
-                break
-        if common.bit_count() >= r:
-            yield (A,), common
+        nbrs.setdefault(a, set()).add(b)
+        nbrs.setdefault(b, set()).add(a)
+    low = [v for v, vs in nbrs.items() if len(vs) < r]
+    while low:
+        v = low.pop()
+        for w in nbrs.pop(v):
+            nbrs[w].discard(v)
+            if len(nbrs[w]) == r - 1:
+                low.append(w)
+    labels = sorted(nbrs)
+    pos = {v: i for i, v in enumerate(labels)}
+    adj = [sorted(pos[w] for w in nbrs[v]) for v in labels]
+
+    def above(v: int, a0: int) -> list[int]:
+        return adj[v][bisect_right(adj[v], a0):]
+
+    def scan() -> _Masks:
+        # Neighbour masks of the candidates the scan has not reached yet. A
+        # vertex is a candidate only for smaller a0, so its mask needs only the
+        # bits above the a0 that first builds it, and is dropped when a0 reaches it.
+        ahead: dict[int, int] = {}
+        for a0 in range(len(labels)):
+            ahead.pop(a0, None)
+            up = above(a0, a0)
+            if len(up) < r:
+                continue
+            wedges: Counter[int] = Counter()
+            for w in up:
+                wedges.update(above(w, a0))
+            candidates = sorted(b for b, c in wedges.items() if c >= r)
+            if len(candidates) < r - 1:
+                continue
+            for b in candidates:
+                if b not in ahead:
+                    ahead[b] = sum(1 << w for w in above(b, a0))
+            up_mask = sum(1 << w for w in up)
+            for rest in combinations(candidates, r - 1):
+                common = up_mask
+                for b in rest:
+                    common &= ahead[b]
+                if common.bit_count() >= r:
+                    yield (tuple(labels[v] for v in (a0, *rest)),), common
+
+    return scan(), labels
 
 
 def _partite_masks(
@@ -256,7 +298,7 @@ def _copy_masks(g: Hypergraph, r: int, spec: PartitionSpec | None) -> tuple[_Mas
     elif g.k == 1:
         parts = (tuple(range(g.n)),)
     else:
-        return _graph_masks(g, r), range(g.n)
+        return _graph_masks(g, r)
     return _partite_masks(g.edges, parts, r, r), parts[-1]
 
 

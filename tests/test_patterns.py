@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import hashlib
 import random
+import time
 from math import comb, factorial
 
 import pytest
@@ -46,6 +47,7 @@ from corpus import (
     partite_corpus_small,
     partite_host,
     random_graph,
+    sparse_graph_corpus,
 )
 
 
@@ -140,6 +142,37 @@ class TestGraphKernel:
         for g in graph_corpus(150, seed=1212):
             for r in (1, 2, 3):
                 assert self._kernel_pairs(g, r) == brute_graph_masks(g, r)
+
+    def test_matches_referee_on_sparse_hosts(self):
+        for g in sparse_graph_corpus():
+            small, labels = without_isolated(g)
+            for r in (1, 2, 3):
+                expected = [
+                    (tuple(labels[v] for v in A), tuple(labels[v] for v in B))
+                    for A, B in brute_graph_masks(small, r)
+                ]
+                assert self._kernel_pairs(g, r) == expected
+
+    def test_sparse_counts_match_brute_force(self):
+        # The pairwise brute force is O(C(n, r)^2): run it where that stays small.
+        for g in sparse_graph_corpus():
+            small, labels = without_isolated(g)
+            for r, max_n in ((2, 40), (3, 14)):
+                if small.n <= max_n:
+                    assert count_copies(g, r) == brute_count_biclique_unordered(small, r)
+                    got = {c.parts for c in enumerate_copies(g, r)}
+                    assert got == {
+                        tuple(tuple(labels[v] for v in part) for part in copy)
+                        for copy in brute_copies_unordered(small, r)
+                    }
+
+    def test_c4_among_100000_vertices(self):
+        n = 100_000
+        g = Hypergraph.from_edges(2, n, [(0, n - 2), (0, n - 1), (1, n - 2), (1, n - 1)])
+        start = time.perf_counter()
+        assert count_copies(g, 2) == 1
+        assert [c.parts for c in enumerate_copies(g, 2)] == [((0, 1), (n - 2, n - 1))]
+        assert time.perf_counter() - start < 1.0
 
 
 class TestPartiteCopies:
