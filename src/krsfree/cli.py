@@ -180,6 +180,8 @@ def cmd_extract(args: argparse.Namespace) -> int:
 
 
 def cmd_oracle(args: argparse.Namespace) -> int:
+    if args.s is None and args.orientation is not None:
+        raise UsageError("--orientation needs --s")
     g, spec = _load_host(args)
     r = _require_r(args)
     if args.s is None:
@@ -327,7 +329,9 @@ def build_parser() -> _Parser:
     )
     _add_input_flags(p)
     p.add_argument("--s", type=int, help="biclique second side s (graphs; needs a partition)")
-    p.add_argument("--orientation", choices=["proof", "either"], default="proof")
+    p.add_argument(
+        "--orientation", choices=["proof", "either"], help="biclique orientation (needs --s; default proof)"
+    )
     p.add_argument("--budget", type=int, default=2_000_000)
     p.set_defaults(func=cmd_oracle)
 

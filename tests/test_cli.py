@@ -236,6 +236,26 @@ class TestOracle:
         payload = json.loads(out)
         assert payload["optimum"] == 5
 
+    def test_orientation_needs_s(self, capsys, k24_file):
+        for orientation in ("proof", "either"):
+            code, out, err = run_cli(
+                capsys, "oracle", "--input", k24_file, "--r", "2", "--orientation", orientation
+            )
+            assert code == EXIT_USAGE
+            assert out == ""
+            assert "--orientation" in err
+
+    def test_s_without_orientation_means_proof(self, capsys, tmp_path):
+        g, spec = complete_bipartite(3, 4)
+        path = str(tmp_path / "k34.txt")
+        write_hypergraph(g, path)
+        write_partition(spec, path + ".parts")
+        base = ("oracle", "--input", path, "--parts", path + ".parts", "--r", "2", "--s", "3")
+        code, out, _ = run_cli(capsys, *base)
+        assert code == EXIT_OK
+        assert out == run_cli(capsys, *base, "--orientation", "proof")[1]
+        assert out != run_cli(capsys, *base, "--orientation", "either")[1]
+
     def test_oriented_parts_must_fit_the_host(self, capsys, tmp_path):
         host = tmp_path / "h.txt"
         host.write_text("2 6 6\n0 1\n0 2\n0 3\n1 2\n1 3\n4 5\n")
