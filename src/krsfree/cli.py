@@ -201,6 +201,8 @@ def cmd_oracle(args: argparse.Namespace) -> int:
         "optimum": result.optimum,
         "nodes_explored": result.nodes_explored,
         "proof_of_optimality": result.proof_of_optimality,
+        "upper_bound": result.upper_bound,
+        "gap": 0 if result.proof_of_optimality else result.upper_bound - result.optimum,
         "witness_edges": [list(e) for e in sorted(result.witness.edges)],
     }
     sys.stdout.write(json.dumps(payload, indent=2, sort_keys=True) + "\n")
@@ -325,7 +327,11 @@ def build_parser() -> _Parser:
     p = sub.add_parser(
         "oracle",
         help="exact maximum pattern-free subgraph (branch and bound)",
-        description="Prints an OracleResult as JSON (schema v1). Budget exhaustion clears proof_of_optimality but still exits 0.",
+        description=(
+            "Prints an OracleResult as JSON (schema v1), with the root upper_bound and "
+            "gap = upper_bound - optimum (0 when proved). Budget exhaustion clears "
+            "proof_of_optimality but still exits 0."
+        ),
     )
     _add_input_flags(p)
     p.add_argument("--s", type=int, help="biclique second side s (graphs; needs a partition)")

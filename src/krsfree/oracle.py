@@ -8,18 +8,43 @@ Patterns are described by PatternSpec:
   * multipartite(r, k): the side-r complete k-partite pattern, anchored to the
     parts when a partition is supplied, unordered otherwise.
 
-The search is a branch and bound over edge deletions: branch on the surviving
+Before searching, max_free_subgraph computes a root upper bound and an
+incumbent:
+  * The bound is the Kővári–Sós–Turán count behind the paper's upper bound:
+    in a free subgraph each r-set of the r-side U has at most s - 1 common
+    neighbours, so sum_w C(d_w, r) <= (s - 1) C(|U|, r), and the largest
+    sum_w d_w it allows (greedy by marginal cost, d_w capped at w's host
+    degree) bounds the optimum. krr uses a BFS 2-colouring of the host and
+    takes the smaller bound of its two orientations; krs_oriented uses the
+    given orientation and krs_either the smaller of both. A non-bipartite krr
+    host and the multipartite pattern get no bound, which is reported as m.
+  * The incumbent comes from seeded insertion: the edges are added in the
+    order of an np.random.default_rng(0) permutation, each unless some copy
+    through it would become complete. With a bound, the passes restart (at
+    most 64 passes) until one meets it; without one there is a single pass.
+    The seed is fixed, so the output is byte-reproducible.
+If the incumbent meets the bound, it is optimal and is returned with zero
+nodes explored.
+
+Otherwise a branch and bound over edge deletions runs: branch on the surviving
 copy with the fewest deletable edges (ties broken lexicographically), children
 delete one edge each and freeze the earlier-tried ones, and a greedy packing of
 edge-disjoint surviving copies gives an admissible lower bound on the deletions
-still needed. A node budget caps the search; if it runs out, the best subgraph
-found so far is returned with the optimality flag cleared.
+still needed. Each node keeps the copies of its parent's list that miss the
+deleted edge. The search stops as soon as its incumbent meets the root bound.
+A node budget caps it; if it runs out, the best subgraph found so far is
+returned with the optimality flag cleared, and upper_bound - optimum is how
+far from proven it is.
 """
 
 from __future__ import annotations
 
+from collections import Counter, defaultdict
 from dataclasses import dataclass
+from math import comb
 from typing import Iterator
+
+import numpy as np
 
 from .deletion import run_trials
 from .hypergraph import EdgeSubset, Hypergraph, PartitionSpec, require_partite
@@ -117,6 +142,93 @@ class OracleResult:
     witness: EdgeSubset
     nodes_explored: int
     proof_of_optimality: bool
+    upper_bound: int
+
+
+# Most insertion passes tried before the search when a root bound exists:
+# K_{6,6} first meets its bound at the 10th pass, K_{4,16} at the 4th.
+_INSERTION_RESTARTS = 64
+
+
+def _two_colouring(g: Hypergraph) -> tuple[list[int], list[int]] | None:
+    """The colour classes of a BFS 2-colouring of g's non-isolated vertices, or None."""
+    adjacent: dict[int, list[int]] = defaultdict(list)
+    for a, b in g.sorted_edges():
+        adjacent[a].append(b)
+        adjacent[b].append(a)
+    colour: dict[int, int] = {}
+    for root in adjacent:
+        if root in colour:
+            continue
+        colour[root] = 0
+        queue = [root]
+        for v in queue:  # the queue grows while it is read: breadth first
+            for w in adjacent[v]:
+                if w not in colour:
+                    colour[w] = 1 - colour[v]
+                    queue.append(w)
+                elif colour[w] == colour[v]:
+                    return None
+    return [v for v, c in colour.items() if c == 0], [v for v, c in colour.items() if c == 1]
+
+
+def _kst_bound(caps: list[int], u_size: int, r: int, s: int) -> int:
+    """Largest sum of d_w with sum C(d_w, r) <= (s - 1) C(u_size, r) and d_w <= caps[w].
+
+    Raising d_w from d to d + 1 costs C(d, r - 1), which never falls as d
+    grows, so taking the cheapest raises first is optimal. All raises from
+    level d cost the same, so they are taken a level at a time.
+    """
+    budget = (s - 1) * comb(u_size, r)
+    caps = sorted(caps, reverse=True)
+    total = 0
+    d = 0
+    while True:
+        while caps and caps[-1] <= d:
+            caps.pop()
+        cost = comb(d, r - 1)
+        take = len(caps) if cost == 0 else min(len(caps), budget // cost)
+        total += take
+        if take < len(caps) or not caps:
+            return total
+        budget -= take * cost
+        d += 1
+
+
+def _root_bound(g: Hypergraph, pattern: PatternSpec, spec: PartitionSpec | None) -> int | None:
+    """The Kővári–Sós–Turán count as an upper bound on the optimum, or None.
+
+    In a free subgraph each r-set of the r-side U has at most s - 1 common
+    neighbours on the other side W, so sum over w in W of C(d_w, r) is at most
+    (s - 1) C(|U|, r), with d_w at most w's host degree and U counting only
+    vertices with edges. A K_{r,r} copy in a bipartite host has its sides in
+    opposite colour classes of any 2-colouring, so krr needs no partition.
+    There is no bound for the multipartite pattern or a non-bipartite host.
+    """
+    if pattern.kind == KIND_MULTIPARTITE:
+        return None
+    if pattern.kind == KIND_KRR:
+        sides = _two_colouring(g)
+        if sides is None:
+            return None
+        s = pattern.r
+        orientations = [sides, sides[::-1]]
+    else:
+        assert spec is not None and pattern.s is not None
+        s = pattern.s
+        orientations = [spec.parts]
+        if pattern.kind == KIND_KRS_EITHER:
+            orientations.append(spec.parts[::-1])
+    degree = Counter(v for e in g.edges for v in e)
+    return min(
+        _kst_bound(
+            [degree[w] for w in w_side if degree[w]],
+            sum(1 for u in u_side if degree[u]),
+            pattern.r,
+            s,
+        )
+        for u_side, w_side in orientations
+    )
 
 
 def max_free_subgraph(
@@ -144,26 +256,47 @@ def max_free_subgraph(
             witness=EdgeSubset(g, frozenset(edges)),
             nodes_explored=0,
             proof_of_optimality=True,
+            upper_bound=m,
         )
+    root_bound = _root_bound(g, pattern, spec)
+    upper_bound = m if root_bound is None else root_bound
+    # The search stops once the incumbent deletes no more than this.
+    floor = m - upper_bound
 
-    # Greedy incumbent: sweep once, deleting the lowest edge of each surviving copy.
-    greedy_deleted = 0
+    # Incumbent: insert the edges in a seeded random order, each unless some
+    # copy through it would become complete; keep the largest of the passes.
+    through: list[list[int]] = [[] for _ in range(m)]
     for c in copy_masks:
-        if not c & greedy_deleted:
-            greedy_deleted |= c & -c
-    best = [greedy_deleted.bit_count(), full & ~greedy_deleted]
+        rest = c
+        while rest:
+            bit = rest & -rest
+            through[bit.bit_length() - 1].append(c)
+            rest ^= bit
+    best = [m, 0]
+    rng = np.random.default_rng(0)
+    for _ in range(1 if root_bound is None else _INSERTION_RESTARTS):
+        kept = 0
+        for i in rng.permutation(m).tolist():
+            grown = kept | 1 << i
+            if all(c & grown != c for c in through[i]):
+                kept = grown
+        if m - kept.bit_count() < best[0]:
+            best = [m - kept.bit_count(), kept]
+        if best[0] <= floor:
+            break
+
     nodes = 0
     exhausted = False
 
-    def search(deleted: int, kept: int, depth: int) -> None:
+    def search(parent_intact: list[int], bit: int, deleted: int, kept: int, depth: int) -> None:
         nonlocal nodes, exhausted
-        if exhausted:
+        if exhausted or best[0] <= floor:
             return
         if nodes >= budget:
             exhausted = True
             return
         nodes += 1
-        intact = [c for c in copy_masks if not c & deleted]
+        intact = [c for c in parent_intact if not c & bit]
         if not intact:
             if depth < best[0]:
                 best[0] = depth
@@ -190,16 +323,17 @@ def max_free_subgraph(
         while branch:
             bit = branch & -branch
             branch ^= bit
-            search(deleted | bit, kept | tried, depth + 1)
+            search(intact, bit, deleted | bit, kept | tried, depth + 1)
             tried |= bit
 
-    search(0, 0, 0)
+    search(copy_masks, 0, 0, 0, 0)
     witness_edges = frozenset(edges[i] for i in range(m) if best[1] >> i & 1)
     return OracleResult(
         optimum=m - best[0],
         witness=EdgeSubset(g, witness_edges),
         nodes_explored=nodes,
         proof_of_optimality=not exhausted,
+        upper_bound=upper_bound,
     )
 
 

@@ -246,15 +246,20 @@ class TestOracle:
             assert "--orientation" in err
 
     def test_s_without_orientation_means_proof(self, capsys, tmp_path):
-        g, spec = complete_bipartite(3, 4)
-        path = str(tmp_path / "k34.txt")
+        # Parts big / small: no pair of the 5-part has 3 common neighbours, so
+        # `proof` keeps all 10 edges; `either` keeps 7.
+        g, spec = complete_bipartite(5, 2)
+        path = str(tmp_path / "k52.txt")
         write_hypergraph(g, path)
         write_partition(spec, path + ".parts")
         base = ("oracle", "--input", path, "--parts", path + ".parts", "--r", "2", "--s", "3")
         code, out, _ = run_cli(capsys, *base)
         assert code == EXIT_OK
         assert out == run_cli(capsys, *base, "--orientation", "proof")[1]
-        assert out != run_cli(capsys, *base, "--orientation", "either")[1]
+        either = run_cli(capsys, *base, "--orientation", "either")[1]
+        assert out != either
+        assert json.loads(out)["optimum"] == 10
+        assert json.loads(either)["optimum"] == 7
 
     def test_oriented_parts_must_fit_the_host(self, capsys, tmp_path):
         host = tmp_path / "h.txt"
@@ -282,10 +287,29 @@ class TestOracle:
         assert out == ""
         assert "--s" in err
 
+    def test_gap_is_zero_when_proved(self, capsys, tmp_path):
+        gaps = {}
+        for n in (5, 8):
+            g, _ = complete_bipartite(n, n)
+            path = str(tmp_path / f"k{n}{n}.txt")
+            write_hypergraph(g, path)
+            code, out, _ = run_cli(capsys, "oracle", "--input", path, "--r", "2", "--budget", "2")
+            assert code == EXIT_OK
+            payload = json.loads(out)
+            assert payload["upper_bound"] >= payload["optimum"]
+            gaps[n] = payload["gap"]
+            if payload["proof_of_optimality"]:
+                assert payload["gap"] == 0
+            else:
+                assert payload["gap"] == payload["upper_bound"] - payload["optimum"]
+        # K_{5,5} closes at the root at 12; K_{8,8}'s bound of 25 is above z(8; 2) = 24.
+        assert gaps[5] == 0
+        assert gaps[8] > 0
+
     def test_budget_exhaustion_still_exits_zero(self, capsys):
         code, out, _ = run_cli(
             capsys,
-            "oracle", "--construct", "--k", "2", "--r", "2", "--n", "3", "--budget", "2",
+            "oracle", "--construct", "--k", "3", "--r", "2", "--n", "2", "--budget", "2",
         )
         assert code == EXIT_OK
         payload = json.loads(out)
@@ -339,6 +363,13 @@ class TestBounds:
         for row in rows:
             if row[4]:
                 assert float(row[2]) <= int(row[4]) <= float(row[3]) + 1e-9
+
+    def test_every_row_certified_through_k5_25(self, capsys):
+        code, out, _ = run_cli(capsys, "bounds", "--r", "2", "--k", "2", "--n", "5")
+        assert code == EXIT_OK
+        rows = [ln.split(",") for ln in out.splitlines()[1:]]
+        assert [row[5] for row in rows] == ["true"] * 5
+        assert [int(row[4]) for row in rows] == [1, 5, 12, 22, 35]
 
     def test_writes_file(self, capsys, tmp_path):
         path = tmp_path / "table.csv"

@@ -3,11 +3,13 @@
 from __future__ import annotations
 
 import random
+import time
 
 import pytest
 
 from krsfree import (
     Hypergraph,
+    build_construction,
     OracleResult,
     PartitionSpec,
     PatternSpec,
@@ -33,7 +35,7 @@ from bruteforce import (
     copies_as_masks,
     mask_to_subset,
 )
-from corpus import graph_corpus, partite_host, random_graph
+from corpus import graph_corpus, partite_host, random_graph, random_kgraph
 
 
 def oracle_and_brute(g: Hypergraph, pattern: PatternSpec) -> tuple[OracleResult, int]:
@@ -188,7 +190,9 @@ class TestOracleProperties:
             assert opt_h >= opt_g
 
     def test_budget_exhaustion_is_reported(self):
-        g, _ = complete_bipartite(4, 4)
+        # K_{8,8}'s root bound is 25 against an optimum of z(8; 2) = 24, so
+        # only the search could prove it.
+        g, _ = complete_bipartite(8, 8)
         result = max_free_subgraph(g, PatternSpec.krr(2), budget=2)
         assert not result.proof_of_optimality
         free, _ = is_free(result.witness, PatternSpec.krr(2))
@@ -215,6 +219,163 @@ class TestOracleProperties:
         g, _ = complete_bipartite(2, 2)
         with pytest.raises(ValueError, match="budget"):
             max_free_subgraph(g, PatternSpec.krr(2), budget=0)
+
+
+def pattern_masks(g: Hypergraph, pattern: PatternSpec, spec: PartitionSpec | None) -> list[int]:
+    """Every copy of a graph pattern as an edge bitmask, from the brute-force referees."""
+    if pattern.kind == KIND_KRR:
+        return copies_as_masks(g, brute_copies_unordered(g, pattern.r))
+    u, w = spec.parts
+    copies = brute_copies_oriented(g, u, w, pattern.r, pattern.s)
+    if pattern.kind == KIND_KRS_EITHER:
+        copies += brute_copies_oriented(g, w, u, pattern.r, pattern.s)
+    return copies_as_masks(g, copies)
+
+
+GRAPH_PATTERNS = (PatternSpec.krr(2), PatternSpec.krs_oriented(2, 3), PatternSpec.krs_either(2, 3))
+
+# z(n; 2), the most edges of a C4-free subgraph of K_{n,n} (OEIS A001197).
+ZARANKIEWICZ = {1: 1, 2: 3, 3: 6, 4: 9, 5: 12, 6: 16, 7: 21}
+
+
+class TestRootBound:
+    def test_bound_is_at_least_the_optimum(self):
+        rng = random.Random(77)
+        hosts = [(g, None) for g in graph_corpus(80, max_n=8, seed=4242) if g.m <= 13]
+        for sizes in [(2, 3), (3, 3), (3, 4), (2, 6), (4, 3), (3, 5)] * 6:
+            g, spec = partite_host(sizes, rng.uniform(0.5, 1.0), rng)
+            if g.m <= 13:
+                hosts.append((g, spec))
+        below_m = met = 0
+        for g, spec in hosts:
+            for pattern in GRAPH_PATTERNS if spec else GRAPH_PATTERNS[:1]:
+                result = max_free_subgraph(g, pattern, spec)
+                brute_opt, _ = brute_max_free(g, pattern_masks(g, pattern, spec))
+                assert result.optimum == brute_opt
+                assert brute_opt <= result.upper_bound <= g.m
+                if pattern.kind == KIND_KRS_EITHER:
+                    # a free subgraph is free of both orientations: the smaller bound holds
+                    oriented = PatternSpec.krs_oriented(2, 3)
+                    flipped = PartitionSpec(spec.parts[::-1])
+                    assert result.upper_bound == min(
+                        max_free_subgraph(g, oriented, parts).upper_bound for parts in (spec, flipped)
+                    )
+                below_m += result.upper_bound < g.m
+                met += result.upper_bound == brute_opt < g.m
+        assert below_m >= 60 and met >= 30
+
+    def test_non_bipartite_and_multipartite_hosts_have_no_bound(self):
+        g = Hypergraph.from_edges(2, 5, [(0, 1), (0, 2), (1, 2), (2, 3), (2, 4), (3, 4), (1, 3)])
+        result = max_free_subgraph(g, PatternSpec.krr(2))
+        assert result.upper_bound == g.m
+        g, spec, _ = build_construction(2, 2, 3)
+        result = max_free_subgraph(g, PatternSpec.multipartite(2, 3), spec, budget=2)
+        assert result.upper_bound == g.m
+        assert not result.proof_of_optimality and result.nodes_explored == 2
+
+    @pytest.mark.parametrize("n", sorted(ZARANKIEWICZ))
+    def test_zarankiewicz_table_closes_at_the_root(self, n):
+        g, _ = complete_bipartite(n, n)
+        start = time.perf_counter()
+        result = max_free_subgraph(g, PatternSpec.krr(2))
+        assert time.perf_counter() - start < 2.0
+        assert result.optimum == result.upper_bound == ZARANKIEWICZ[n]
+        assert result.proof_of_optimality and result.nodes_explored == 0
+        assert is_free(result.witness, PatternSpec.krr(2))[0]
+
+    @pytest.mark.parametrize("n,optimum", [(3, 12), (4, 22), (5, 35)])
+    def test_tight_hosts_close_at_the_root(self, n, optimum):
+        # On K_{n,n^2} the bound is n^2 + C(n, 2), met by the insertion
+        # incumbent. The mirror K_{n^2,n} has its big side in the first colour
+        # class, so both orientations of the 2-colouring must be tried.
+        for g in (build_construction(n, 2, 2)[0], complete_bipartite(n * n, n)[0]):
+            start = time.perf_counter()
+            result = max_free_subgraph(g, PatternSpec.krr(2))
+            assert time.perf_counter() - start < 2.0
+            assert result.optimum == result.upper_bound == optimum
+            assert result.proof_of_optimality and result.nodes_explored == 0
+            assert is_free(result.witness, PatternSpec.krr(2))[0]
+
+    def test_k33_oriented_optima_unchanged(self):
+        g, spec = complete_bipartite(3, 3)
+        for pattern, optimum in [
+            (PatternSpec.krs_oriented(2, 3), 7),
+            (PatternSpec.krs_either(2, 3), 7),
+            (PatternSpec.krs_oriented(2, 2), 6),
+            (PatternSpec.krs_either(2, 2), 6),
+        ]:
+            result = max_free_subgraph(g, pattern, spec)
+            assert result.optimum == optimum
+            assert result.proof_of_optimality
+            assert result.upper_bound >= optimum
+            assert is_free(result.witness, pattern, spec)[0]
+
+    def test_search_stops_when_the_incumbent_meets_the_bound(self):
+        # The root closes K_{6,6} only after several insertion passes; its
+        # witness is a z(6; 2) = 16 edge C4-free graph.
+        g, _ = complete_bipartite(6, 6)
+        result = max_free_subgraph(g, PatternSpec.krr(2), budget=1)
+        assert result.proof_of_optimality and result.optimum == 16
+
+    def test_reruns_are_identical(self):
+        g, spec, _ = build_construction(2, 2, 3)
+        first = max_free_subgraph(g, PatternSpec.multipartite(2, 3), spec, budget=50)
+        again = max_free_subgraph(g, PatternSpec.multipartite(2, 3), spec, budget=50)
+        assert first == again
+
+
+class TestMilpCrossCheck:
+    """The optimum against a minimum hitting set of the copies, solved by an integer program."""
+
+    @staticmethod
+    def milp_optimum(m: int, masks: list[int]) -> int:
+        optimize = pytest.importorskip("scipy.optimize")
+        import numpy as np
+
+        if not masks:
+            return m
+        rows = np.array([[mask >> i & 1 for i in range(m)] for mask in masks], dtype=float)
+        res = optimize.milp(
+            c=np.ones(m),
+            constraints=optimize.LinearConstraint(rows, lb=1, ub=np.inf),
+            integrality=np.ones(m),
+            bounds=optimize.Bounds(0, 1),
+        )
+        assert res.success
+        return m - round(res.fun)
+
+    def test_graph_patterns(self):
+        rng = random.Random(99)
+        checked = 0
+        for _ in range(12):
+            g = random_graph(rng.randint(6, 9), rng.uniform(0.4, 0.7), rng)
+            if 14 <= g.m <= 24:
+                result = max_free_subgraph(g, PatternSpec.krr(2))
+                assert result.proof_of_optimality
+                assert result.optimum == self.milp_optimum(g.m, pattern_masks(g, PatternSpec.krr(2), None))
+                checked += 1
+        for sizes in [(4, 5), (5, 5), (3, 8), (5, 6)] * 2:
+            g, spec = partite_host(sizes, rng.uniform(0.5, 0.9), rng)
+            if g.m <= 24:
+                for pattern in GRAPH_PATTERNS:
+                    result = max_free_subgraph(g, pattern, spec)
+                    optimum = self.milp_optimum(g.m, pattern_masks(g, pattern, spec))
+                    assert result.proof_of_optimality
+                    assert result.optimum == optimum <= result.upper_bound
+                    checked += 1
+        assert checked >= 20
+
+    def test_kgraph_patterns(self):
+        rng = random.Random(5)
+        for _ in range(6):
+            g, spec = partite_host((2, 3, 3), rng.uniform(0.5, 1.0), rng)
+            pattern = PatternSpec.multipartite(2, 3)
+            masks = sorted(
+                {sum(1 << g.sorted_edges().index(e) for e in c.edge_set()) for c in iter_pattern_copies(g, pattern, spec)}
+            )
+            result = max_free_subgraph(g, pattern, spec)
+            assert result.proof_of_optimality
+            assert result.optimum == self.milp_optimum(g.m, masks)
 
 
 class TestComparisonReport:
