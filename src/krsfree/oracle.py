@@ -20,8 +20,9 @@ incumbent:
     host and the multipartite pattern get no bound, which is reported as m.
   * The incumbent comes from seeded insertion: the edges are added in the
     order of an np.random.default_rng(0) permutation, each unless some copy
-    through it would become complete. With a bound, the passes restart (at
-    most 64 passes) until one meets it; without one there is a single pass.
+    through it would become complete. With a bound below m, the passes
+    restart (at most 64 passes) until one meets it; otherwise there is a
+    single pass, since a bound of m cannot be met while a copy exists.
     The seed is fixed, so the output is byte-reproducible.
 If the incumbent meets the bound, it is optimal and is returned with zero
 nodes explored.
@@ -145,7 +146,7 @@ class OracleResult:
     upper_bound: int
 
 
-# Most insertion passes tried before the search when a root bound exists:
+# Most insertion passes tried before the search when the root bound is below m:
 # K_{6,6} first meets its bound at the 10th pass, K_{4,16} at the 4th.
 _INSERTION_RESTARTS = 64
 
@@ -195,8 +196,8 @@ def _kst_bound(caps: list[int], u_size: int, r: int, s: int) -> int:
         d += 1
 
 
-def _root_bound(g: Hypergraph, pattern: PatternSpec, spec: PartitionSpec | None) -> int | None:
-    """The Kővári–Sós–Turán count as an upper bound on the optimum, or None.
+def _root_bound(g: Hypergraph, pattern: PatternSpec, spec: PartitionSpec | None) -> int:
+    """The Kővári–Sós–Turán count as an upper bound on the optimum (m if there is none).
 
     In a free subgraph each r-set of the r-side U has at most s - 1 common
     neighbours on the other side W, so sum over w in W of C(d_w, r) is at most
@@ -206,11 +207,11 @@ def _root_bound(g: Hypergraph, pattern: PatternSpec, spec: PartitionSpec | None)
     There is no bound for the multipartite pattern or a non-bipartite host.
     """
     if pattern.kind == KIND_MULTIPARTITE:
-        return None
+        return g.m
     if pattern.kind == KIND_KRR:
         sides = _two_colouring(g)
         if sides is None:
-            return None
+            return g.m
         s = pattern.r
         orientations = [sides, sides[::-1]]
     else:
@@ -258,8 +259,7 @@ def max_free_subgraph(
             proof_of_optimality=True,
             upper_bound=m,
         )
-    root_bound = _root_bound(g, pattern, spec)
-    upper_bound = m if root_bound is None else root_bound
+    upper_bound = _root_bound(g, pattern, spec)
     # The search stops once the incumbent deletes no more than this.
     floor = m - upper_bound
 
@@ -274,7 +274,7 @@ def max_free_subgraph(
             rest ^= bit
     best = [m, 0]
     rng = np.random.default_rng(0)
-    for _ in range(1 if root_bound is None else _INSERTION_RESTARTS):
+    for _ in range(_INSERTION_RESTARTS if upper_bound < m else 1):
         kept = 0
         for i in rng.permutation(m).tolist():
             grown = kept | 1 << i
@@ -288,7 +288,7 @@ def max_free_subgraph(
     nodes = 0
     exhausted = False
 
-    def search(parent_intact: list[int], bit: int, deleted: int, kept: int, depth: int) -> None:
+    def search(parent_intact: list[int], cut: int, deleted: int, kept: int, depth: int) -> None:
         nonlocal nodes, exhausted
         if exhausted or best[0] <= floor:
             return
@@ -296,7 +296,7 @@ def max_free_subgraph(
             exhausted = True
             return
         nodes += 1
-        intact = [c for c in parent_intact if not c & bit]
+        intact = [c for c in parent_intact if not c & cut]
         if not intact:
             if depth < best[0]:
                 best[0] = depth

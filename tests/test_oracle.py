@@ -5,6 +5,7 @@ from __future__ import annotations
 import random
 import time
 
+import numpy as np
 import pytest
 
 from krsfree import (
@@ -35,7 +36,7 @@ from bruteforce import (
     copies_as_masks,
     mask_to_subset,
 )
-from corpus import graph_corpus, partite_host, random_graph, random_kgraph
+from corpus import graph_corpus, partite_host, random_graph
 
 
 def oracle_and_brute(g: Hypergraph, pattern: PatternSpec) -> tuple[OracleResult, int]:
@@ -311,11 +312,17 @@ class TestRootBound:
             assert is_free(result.witness, pattern, spec)[0]
 
     def test_search_stops_when_the_incumbent_meets_the_bound(self):
-        # The root closes K_{6,6} only after several insertion passes; its
-        # witness is a z(6; 2) = 16 edge C4-free graph.
-        g, _ = complete_bipartite(6, 6)
-        result = max_free_subgraph(g, PatternSpec.krr(2), budget=1)
-        assert result.proof_of_optimality and result.optimum == 16
+        # A 20-edge subgraph of K_{4,6} whose insertion passes stop at 11 of
+        # the bound 12: the search reaches 12 at node 130 and stops there.
+        # Searching on until the tree is pruned would take 697 nodes.
+        g = Hypergraph.from_edges(2, 10, [
+            (0, 4), (0, 5), (0, 6), (0, 7), (0, 8), (0, 9), (1, 4), (1, 5), (1, 7), (1, 8),
+            (2, 4), (2, 5), (2, 6), (2, 7), (2, 8), (2, 9), (3, 5), (3, 7), (3, 8), (3, 9),
+        ])
+        result = max_free_subgraph(g, PatternSpec.krr(2))
+        assert result.optimum == result.upper_bound == 12
+        assert result.proof_of_optimality and result.nodes_explored == 130
+        assert max_free_subgraph(g, PatternSpec.krr(2), budget=130).proof_of_optimality
 
     def test_reruns_are_identical(self):
         g, spec, _ = build_construction(2, 2, 3)
@@ -330,8 +337,6 @@ class TestMilpCrossCheck:
     @staticmethod
     def milp_optimum(m: int, masks: list[int]) -> int:
         optimize = pytest.importorskip("scipy.optimize")
-        import numpy as np
-
         if not masks:
             return m
         rows = np.array([[mask >> i & 1 for i in range(m)] for mask in masks], dtype=float)
@@ -370,9 +375,7 @@ class TestMilpCrossCheck:
         for _ in range(6):
             g, spec = partite_host((2, 3, 3), rng.uniform(0.5, 1.0), rng)
             pattern = PatternSpec.multipartite(2, 3)
-            masks = sorted(
-                {sum(1 << g.sorted_edges().index(e) for e in c.edge_set()) for c in iter_pattern_copies(g, pattern, spec)}
-            )
+            masks = copies_as_masks(g, [c.parts for c in iter_pattern_copies(g, pattern, spec)])
             result = max_free_subgraph(g, pattern, spec)
             assert result.proof_of_optimality
             assert result.optimum == self.milp_optimum(g.m, masks)
