@@ -7,7 +7,7 @@ counting paths. Tests compare the fast implementations against these.
 
 from __future__ import annotations
 
-from itertools import combinations, product
+from itertools import combinations, permutations, product
 
 from krsfree import EdgeSubset, Hypergraph, PartitionSpec
 
@@ -106,6 +106,45 @@ def brute_count_kgraph_unordered(g: Hypergraph, r: int) -> int:
         if all(tuple(sorted(t)) in g.edges for t in product(*family)):
             found.add(family)
     return len(found)
+
+
+def brute_kgraph_copies_in_order(g: Hypergraph, r: int) -> list[tuple[tuple[int, ...], ...]]:
+    """Unordered k-partite copies, in the order a matching-extension loop first meets them.
+
+    Every copy contains a perfect matching of r disjoint transversals. Take the
+    r-matchings in lexicographic order of their sorted edge lists; pin the first
+    edge's vertices to one part each and try every assignment of each later
+    edge's vertices to the parts, in itertools.product order of the
+    permutations. A copy is listed, as its parts sorted by minimum, the first
+    time an assignment yields it.
+    """
+    k = g.k
+    edges = g.sorted_edges()
+    found: list[tuple[tuple[int, ...], ...]] = []
+    seen: set[tuple[tuple[int, ...], ...]] = set()
+
+    def matchings(start: int, chosen: list, used: set[int]):
+        if len(chosen) == r:
+            yield list(chosen)
+            return
+        for i in range(start, len(edges)):
+            if used.isdisjoint(edges[i]):
+                chosen.append(edges[i])
+                yield from matchings(i + 1, chosen, used | set(edges[i]))
+                chosen.pop()
+
+    for matching in matchings(0, [], set()):
+        base = matching[0]
+        for assignment in product(permutations(range(k)), repeat=r - 1):
+            parts = [[v] for v in base]
+            for e, perm in zip(matching[1:], assignment):
+                for pos, v in enumerate(e):
+                    parts[perm[pos]].append(v)
+            copy = tuple(sorted((tuple(sorted(p)) for p in parts), key=lambda t: t[0]))
+            if copy not in seen and all(tuple(sorted(t)) in g.edges for t in product(*copy)):
+                seen.add(copy)
+                found.append(copy)
+    return found
 
 
 def _families(k: int, r: int, verts) -> list[tuple[tuple[int, ...], ...]]:

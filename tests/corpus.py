@@ -119,11 +119,11 @@ def partite_corpus_small(count: int, seed: int = 313) -> list[tuple[Hypergraph, 
     return out
 
 
-def kgraph_corpus(count: int, seed: int = 555) -> list[Hypergraph]:
-    """Random 3-uniform hypergraphs for the unordered pattern paths."""
+def kgraph_corpus(count: int, seed: int = 555, k: int = 3, max_n: int = 9) -> list[Hypergraph]:
+    """Random k-uniform hypergraphs on k to max_n vertices for the unordered pattern paths."""
     rng = random.Random(seed)
     out = []
     while len(out) < count:
-        n = rng.randint(3, 9)
-        out.append(random_kgraph(n, 3, rng.random(), rng))
+        n = rng.randint(k, max_n)
+        out.append(random_kgraph(n, k, rng.random(), rng))
     return out

@@ -39,6 +39,7 @@ from bruteforce import (
     brute_count_matchings,
     brute_count_partite_copies,
     brute_graph_masks,
+    brute_kgraph_copies_in_order,
     without_isolated,
 )
 from corpus import (
@@ -214,6 +215,67 @@ class TestKGraphCopies:
         assert count_copies(g, 2) == 1
         assert count_copies(g, 2, spec) == 1
 
+
+class TestKGraphKernel:
+    """Unordered k >= 3 copies against the matching-extension referee, in order.
+
+    The "lex" policy and the is_free witness follow copy order, so the lists are
+    compared as sequences; the family scan checks the count independently.
+    """
+
+    @staticmethod
+    def _shuffled_complete(sizes, seed: int, drop: int = 0) -> Hypergraph:
+        # Random labels interleave the parts in vertex order, so copies are met
+        # through every assignment of the later matching edges, not only the first.
+        g, _ = complete_multipartite(list(sizes))
+        rng = random.Random(seed)
+        label = list(range(g.n))
+        rng.shuffle(label)
+        edges = [tuple(sorted(label[v] for v in e)) for e in g.sorted_edges()]
+        rng.shuffle(edges)
+        return Hypergraph.from_edges(g.k, g.n, edges[drop:])
+
+    @staticmethod
+    def _check(g: Hypergraph, r: int, family_scan: bool = True) -> None:
+        expected = brute_kgraph_copies_in_order(g, r)
+        assert [c.parts for c in enumerate_copies(g, r)] == expected
+        assert count_copies(g, r) == len(expected)
+        if family_scan:
+            assert len(expected) == brute_count_kgraph_unordered(g, r)
+
+    def test_matches_referee_on_3_uniform_corpus(self):
+        for g in kgraph_corpus(60, seed=1313):
+            for r in (1, 2, 3):
+                self._check(g, r)
+
+    def test_matches_referee_on_4_uniform_corpus(self):
+        for g in kgraph_corpus(20, seed=1414, k=4, max_n=10):
+            for r in (1, 2, 3):
+                self._check(g, r)
+
+    def test_matches_referee_on_shuffled_complete_hosts(self):
+        for sizes in ((3, 3, 3), (2, 3, 4), (2, 2, 3, 3)):
+            for seed in range(2):
+                for drop in (0, 1):
+                    g = self._shuffled_complete(sizes, seed, drop)
+                    for r in (1, 2, 3):
+                        self._check(g, r)
+        # The one side-3 copy in a 4-graph; the family scan adds seconds here.
+        self._check(self._shuffled_complete((3, 3, 3, 3), 0), 3, family_scan=False)
+
+    def test_matches_referee_on_construction_samples(self):
+        # The family scan is too slow on 22 vertices, and at r = 3 on 14: run it
+        # on the hosts cut to their first 14 vertices (parts of sizes 2, 4 and
+        # 8), at r <= 2. With a part of size 2 there is no copy at r = 3.
+        g, _, _ = build_construction(2, 2, 3)
+        hosts = [g] + [
+            bernoulli_edge_sample(g, p, seed).as_hypergraph() for p in (0.5, 0.7, 0.9) for seed in range(2)
+        ]
+        for host in hosts:
+            small = Hypergraph.from_edges(3, 14, (e for e in host.edges if e[-1] < 14))
+            for r in (1, 2, 3):
+                self._check(host, r, family_scan=False)
+                self._check(small, r, family_scan=r <= 2)
 
 class TestFrozenCopyOrder:
     """Copy order, frozen as digests of the ordered copy lists.
