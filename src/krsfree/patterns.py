@@ -11,6 +11,11 @@ Copy conventions:
     r-sets with every transversal an edge, parts stored sorted by minimum;
   * partition given: part i of the copy must lie inside part i of the host.
 
+Unordered k >= 3 copies are found as the paper carries its bound over to
+hypergraphs, by induction on links: a copy whose least vertex is v leaves a
+copy with k - 1 parts in the link of v. They are listed in the order in which
+extending every r-matching, in order, first meets them (see _first_seen_key).
+
 All counts are exact integers.
 """
 
@@ -19,9 +24,9 @@ from __future__ import annotations
 from bisect import bisect_right
 from collections import Counter
 from dataclasses import dataclass
-from itertools import combinations, permutations, product
+from itertools import combinations, groupby, permutations, product
 from math import comb, factorial
-from typing import Iterable, Iterator, Sequence
+from typing import Collection, Iterable, Iterator, Sequence
 
 from .hypergraph import Edge, Hypergraph, PartitionSpec, require_partite
 
@@ -60,16 +65,19 @@ def pattern_exponent(r: int, k: int) -> int:
     return sum(r**i for i in range(k))
 
 
-# The common-completion kernel. Both mask loops yield (S, mask): S is a tuple
-# of r-sets and the mask holds the vertices that complete every transversal of
-# S, as bit positions into a label sequence. A copy is S plus any s-set of them.
-# _matching_masks has the same shape for matchings: S is an (r-1)-matching and
-# the mask holds the edges that extend it, so _count with s = 1 counts them.
+# The common-completion kernel. The copy mask loops yield (S, mask): S is a
+# tuple of r-sets and the mask holds the vertices that complete every
+# transversal of S, as bit positions into a label sequence. A copy is S plus any
+# s-set of them (s = r), except in _link_masks, where S starts with (v,) and the
+# copy adds an (r-1)-set to v's part; it recurses through _unordered_copies one
+# uniformity down to _graph_masks. _matching_masks has the same shape for
+# matchings: S is an (r-1)-matching and the mask holds the edges that extend it,
+# so _count with s = 1 counts them.
 
 _Masks = Iterable[tuple[tuple, int]]
 
 
-def _graph_masks(g: Hypergraph, r: int) -> tuple[_Masks, list[int]]:
+def _graph_masks(edges: Iterable[Edge], r: int) -> tuple[_Masks, list[int]]:
     """Unordered graphs: each vertex r-set A with at least r common neighbours above min(A).
 
     Restricting B to vertices above min(A) is what makes each unordered copy
@@ -82,7 +90,7 @@ def _graph_masks(g: Hypergraph, r: int) -> tuple[_Masks, list[int]]:
     lexicographic order of A, as a scan of all vertex r-sets would give them.
     """
     nbrs: dict[int, set[int]] = {}
-    for a, b in g.edges:
+    for a, b in edges:
         nbrs.setdefault(a, set()).add(b)
         nbrs.setdefault(b, set()).add(a)
     low = [v for v, vs in nbrs.items() if len(vs) < r]
@@ -156,16 +164,88 @@ def _partite_masks(
             yield S, common
 
 
+def _link_masks(edges: Collection[Edge], k: int, r: int) -> tuple[_Masks, list[int]]:
+    """Unordered k-graphs, k >= 3: each vertex v and copy C in v's link with a completion above v.
+
+    A copy whose least vertex is v leaves the copy C of its other k - 1 parts in
+    the link above v, {e - {v} : min(e) = v}, found by the same search one
+    uniformity down (the graph kernel at k - 1 = 2). The mask holds the vertices
+    above v that complete every transversal of C; v's part is v plus any
+    (r - 1)-set of them. S is ((v,),) + C. As in the graph kernel, the masks are
+    over positions into the returned labels, the vertices of the edges in
+    increasing order, and the pairs come in increasing order of v.
+    """
+    labels = sorted({v for e in edges for v in e})
+    pos = {v: i for i, v in enumerate(labels)}
+    links: dict[int, list[Edge]] = {}
+    completers: dict[Edge, int] = {}
+    for e in edges:
+        e = tuple(pos[v] for v in e)
+        links.setdefault(e[0], []).append(e[1:])
+        for i, w in enumerate(e):
+            rest = e[:i] + e[i + 1:]
+            completers[rest] = completers.get(rest, 0) | (1 << w)
+
+    def scan() -> _Masks:
+        for v in sorted(links):
+            for C in _unordered_copies(links[v], k - 1, r):
+                # Start from every position above v. A transversal's own
+                # vertices never complete it, so the AND also clears C's.
+                common = -(2 << v)
+                for t in product(*C):
+                    common &= completers[tuple(sorted(t))]
+                    if not common:
+                        break
+                if common.bit_count() >= r - 1:
+                    S = ((v,), *C)
+                    yield tuple(tuple(labels[u] for u in part) for part in S), common
+
+    return scan(), labels
+
+
+def _members(mask: int, labels: Sequence[int]) -> list[int]:
+    """The labels of the mask's set bits, in increasing bit order."""
+    members = []
+    while mask:
+        low = mask & -mask
+        members.append(labels[low.bit_length() - 1])
+        mask ^= low
+    return members
+
+
 def _completions(masks: _Masks, s: int, labels: Sequence[int]) -> Iterator[PatternCopy]:
     """Expand each (S, mask) into the copies S + (B,), B an s-set of the mask's labels."""
     for S, mask in masks:
-        members = []
-        while mask:
-            low = mask & -mask
-            members.append(labels[low.bit_length() - 1])
-            mask ^= low
-        for B in combinations(members, s):
+        for B in combinations(_members(mask, labels), s):
             yield PatternCopy(S + (B,))
+
+
+def _unordered_copies(edges: Collection[Edge], k: int, r: int) -> Iterator[tuple[tuple[int, ...], ...]]:
+    """Unordered copies in a k-graph, k >= 2, as parts sorted by minimum, by increasing least vertex."""
+    if k == 2:
+        masks, labels = _graph_masks(edges, r)
+        return (copy.parts for copy in _completions(masks, r, labels))
+    masks, labels = _link_masks(edges, k, r)
+    return (
+        ((v, *R), *C) for ((v,), *C), mask in masks for R in combinations(_members(mask, labels), r - 1)
+    )
+
+
+def _first_seen_key(parts: tuple[tuple[int, ...], ...]) -> tuple:
+    """Sort key for the order in which extending every r-matching first meets unordered copies.
+
+    Matchings come in lexicographic order of their sorted edge lists, and the
+    least perfect transversal matching of a copy (parts sorted by minimum)
+    pairs up the j-th smallest vertices of its parts: those sorted rows come
+    first. extensions_of_matching pins row 0's i-th vertex to part i, then
+    tries in itertools.product order the permutations that send each later
+    row's sorted vertices to parts; the copy's permutations come next.
+    """
+    k = len(parts)
+    rows = [[part[j] for part in parts] for j in range(len(parts[0]))]
+    return tuple(tuple(sorted(row)) for row in rows) + tuple(
+        tuple(sorted(range(k), key=row.__getitem__)) for row in rows[1:]
+    )
 
 
 def _count(masks: _Masks, s: int) -> int:
@@ -222,12 +302,6 @@ def count_matchings(g: Hypergraph, r: int) -> int:
     return _count(_matching_masks(g, r), 1)
 
 
-def _canonical_unordered(parts: Sequence[Sequence[int]]) -> PatternCopy:
-    tuples = [tuple(sorted(p)) for p in parts]
-    tuples.sort(key=lambda t: t[0])
-    return PatternCopy(tuple(tuples))
-
-
 def extensions_of_matching(
     g: Hypergraph, matching: Matching, r: int, spec: PartitionSpec | None = None
 ) -> list[PatternCopy]:
@@ -273,21 +347,10 @@ def extensions_of_matching(
         for j, perm in enumerate(assignment, start=1):
             for pos, v in enumerate(edges[j]):
                 parts[perm[pos]].append(v)
-        candidate = _canonical_unordered(parts)
+        candidate = PatternCopy(tuple(sorted((tuple(sorted(p)) for p in parts), key=lambda t: t[0])))
         if all(e in g.edges for e in candidate.edge_set()):
             results.append(candidate)
     return results
-
-
-def _iter_kgraph_unordered(g: Hypergraph, r: int) -> Iterator[PatternCopy]:
-    # Every copy contains a perfect matching of r disjoint transversals, so
-    # extending every r-matching finds every copy; de-duplicate across matchings.
-    seen: set[PatternCopy] = set()
-    for matching in enumerate_matchings(g, r):
-        for copy in extensions_of_matching(g, matching, r):
-            if copy not in seen:
-                seen.add(copy)
-                yield copy
 
 
 def _copy_masks(g: Hypergraph, r: int, spec: PartitionSpec | None) -> tuple[_Masks, Sequence[int]]:
@@ -298,7 +361,7 @@ def _copy_masks(g: Hypergraph, r: int, spec: PartitionSpec | None) -> tuple[_Mas
     elif g.k == 1:
         parts = (tuple(range(g.n)),)
     else:
-        return _graph_masks(g, r)
+        return _graph_masks(g.edges, r)
     return _partite_masks(g.edges, parts, r, r), parts[-1]
 
 
@@ -314,7 +377,10 @@ def enumerate_copies(
     if r * g.k > g.n:
         return iter(())
     if spec is None and g.k >= 3:
-        return _iter_kgraph_unordered(g, r)
+        # Each least vertex's copies are sorted on their own, so the iterator
+        # stays lazy from one least vertex to the next.
+        groups = groupby(_unordered_copies(g.edges, g.k, r), key=lambda parts: parts[0][0])
+        return (PatternCopy(parts) for _v, group in groups for parts in sorted(group, key=_first_seen_key))
     masks, labels = _copy_masks(g, r, spec)
     return _completions(masks, r, labels)
 
@@ -326,7 +392,7 @@ def count_copies(g: Hypergraph, r: int, spec: PartitionSpec | None = None) -> in
     if r * g.k > g.n:
         return 0
     if spec is None and g.k >= 3:
-        return sum(1 for _ in _iter_kgraph_unordered(g, r))
+        return _count(_link_masks(g.edges, g.k, r)[0], r - 1)
     return _count(_copy_masks(g, r, spec)[0], r)
 
 

@@ -277,6 +277,20 @@ class TestKGraphKernel:
                 self._check(host, r, family_scan=False)
                 self._check(small, r, family_scan=r <= 2)
 
+    def test_sparse_samples_of_the_3_2_3_host(self):
+        # Extending every 2-matching of these ~560-edge samples took 5.7-7.2 s;
+        # the link search follows the copies found.
+        g, _, _ = build_construction(3, 2, 3)
+        for seed, copies in ((0, 1), (1, 8), (2, 7)):
+            sub = bernoulli_edge_sample(g, 0.25, seed).as_hypergraph()
+            start = time.perf_counter()
+            assert count_copies(sub, 2) == copies
+            assert time.perf_counter() - start < 1.0
+            start = time.perf_counter()
+            assert len(list(enumerate_copies(sub, 2))) == copies
+            assert time.perf_counter() - start < 1.0
+        assert count_copies(build_construction(2, 2, 3)[0], 2) == 720
+
 class TestFrozenCopyOrder:
     """Copy order, frozen as digests of the ordered copy lists.
 
@@ -335,10 +349,12 @@ class TestFrozenCopyOrder:
 class TestFrozenMatchingOrder:
     """Matching order, unordered k-graph copy order and one "lex" batch, frozen as digests.
 
-    Unordered k >= 3 copies are found by extending matchings in order, and the
-    "lex" deletion policy deletes by copy order, so all three depend on the
-    order in which matchings are enumerated. The constants were recorded
-    before the matching recursions were replaced by one mask loop.
+    Unordered k >= 3 copies are found through links, but listed in the order in
+    which extending the matchings in order first meets them: by their least
+    perfect transversal matching, then by the part assignment of its later
+    edges. The "lex" deletion policy deletes by copy order, so all three depend
+    on matching order. The constants were recorded before the matching
+    recursions were replaced by one mask loop, and before the link kernel.
     """
 
     DIGESTS = {
