@@ -174,17 +174,24 @@ def _link_masks(edges: Collection[Edge], k: int, r: int) -> tuple[_Masks, list[i
     (r - 1)-set of them. S is ((v,),) + C. As in the graph kernel, the masks are
     over positions into the returned labels, the vertices of the edges in
     increasing order, and the pairs come in increasing order of v.
+
+    Every transversal of C needs r - 1 completions above v besides v, so a
+    link edge without them is dropped before the search: otherwise a host
+    whose edges all pass through one vertex would have its whole link
+    searched for copies that cannot be completed.
     """
     labels = sorted({v for e in edges for v in e})
     pos = {v: i for i, v in enumerate(labels)}
-    links: dict[int, list[Edge]] = {}
+    edges = [tuple(pos[v] for v in e) for e in edges]
     completers: dict[Edge, int] = {}
     for e in edges:
-        e = tuple(pos[v] for v in e)
-        links.setdefault(e[0], []).append(e[1:])
         for i, w in enumerate(e):
             rest = e[:i] + e[i + 1:]
             completers[rest] = completers.get(rest, 0) | (1 << w)
+    links: dict[int, list[Edge]] = {}
+    for e in edges:
+        if (completers[e[1:]] & -(2 << e[0])).bit_count() >= r - 1:
+            links.setdefault(e[0], []).append(e[1:])
 
     def scan() -> _Masks:
         for v in sorted(links):

@@ -291,6 +291,16 @@ class TestKGraphKernel:
             assert time.perf_counter() - start < 1.0
         assert count_copies(build_construction(2, 2, 3)[0], 2) == 720
 
+    def test_all_edges_through_one_vertex(self):
+        # Vertex 0's link is complete, with 1,365,378 4-cycles, but no other
+        # vertex completes any of its edges, so no copy exists.
+        n = 60
+        g = Hypergraph.from_edges(3, n, [(0, a, b) for a in range(1, n) for b in range(a + 1, n)])
+        start = time.perf_counter()
+        assert count_copies(g, 2) == 0
+        assert list(enumerate_copies(g, 2)) == []
+        assert time.perf_counter() - start < 1.0
+
 class TestFrozenCopyOrder:
     """Copy order, frozen as digests of the ordered copy lists.
 
