@@ -71,8 +71,9 @@ def pattern_exponent(r: int, k: int) -> int:
 # s-set of them (s = r), except in _link_masks, where S starts with (v,) and the
 # copy adds an (r-1)-set to v's part; it recurses through _unordered_copies one
 # uniformity down to _graph_masks. _matching_masks has the same shape for
-# matchings: S is an (r-1)-matching and the mask holds the edges that extend it,
-# so _count with s = 1 counts them.
+# matchings: S is an (r-1)-matching and the mask holds the edges that extend it.
+# It feeds enumerate_matchings; count_matchings stops one level earlier and
+# counts the disjoint pairs in each mask in closed form.
 
 _Masks = Iterable[tuple[tuple, int]]
 
@@ -256,8 +257,18 @@ def _first_seen_key(parts: tuple[tuple[int, ...], ...]) -> tuple:
 
 
 def _count(masks: _Masks, s: int) -> int:
-    """Number of s-sets the masks expand to: copies, or matchings when s = 1."""
+    """Number of copies the masks expand to, each S plus an s-set of its mask."""
     return sum(comb(mask.bit_count(), s) for _S, mask in masks)
+
+
+def _containing(edges: Sequence[Edge], sizes: Collection[int]) -> dict[Edge, int]:
+    """Each vertex set T of the given sizes inside an edge, with the mask of the edges containing it."""
+    masks: dict[Edge, int] = {}
+    for i, e in enumerate(edges):
+        for size in sizes:
+            for T in combinations(e, size):
+                masks[T] = masks.get(T, 0) | 1 << i
+    return masks
 
 
 def _matching_masks(g: Hypergraph, r: int) -> _Masks:
@@ -268,10 +279,8 @@ def _matching_masks(g: Hypergraph, r: int) -> _Masks:
     after its last index that are disjoint from all of it.
     """
     edges = g.sorted_edges()
-    touching = [0] * g.n
-    for i, e in enumerate(edges):
-        for v in e:
-            touching[v] |= 1 << i
+    # At r = 1 the only (r-1)-matching is the empty one, and nothing grows.
+    touching = _containing(edges, (1,)) if r > 1 else {}
 
     def grow(chosen: tuple[int, ...], allowed: int) -> _Masks:
         if len(chosen) == r - 1:
@@ -283,7 +292,7 @@ def _matching_masks(g: Hypergraph, r: int) -> _Masks:
             i = low.bit_length() - 1
             later = allowed
             for v in edges[i]:
-                later &= ~touching[v]
+                later &= ~touching[v,]
             yield from grow(chosen + (i,), later)
 
     return grow((), (1 << len(edges)) - 1)
@@ -303,10 +312,25 @@ def enumerate_matchings(g: Hypergraph, r: int) -> Iterator[Matching]:
 
 
 def count_matchings(g: Hypergraph, r: int) -> int:
-    """Number of r-edge matchings, without materializing them."""
+    """Number of r-edge matchings, without materializing them.
+
+    An (r-2)-matching whose later disjoint edges form the mask A starts
+    C(|A|, 2) - sum_T (-1)^(|T|+1) C(|A & E_T|, 2) r-matchings, where E_T masks
+    the edges containing T and T runs over the vertex sets of size 1 to k - 1
+    in at least two edges. This is exact: two edges meeting in S != {} are
+    subtracted sum over nonempty T in S of (-1)^(|T|+1) = 1 time.
+    """
     if r < 1:
         raise ValueError("matching size r must be >= 1")
-    return _count(_matching_masks(g, r), 1)
+    if r == 1:
+        return g.m
+    # E_T & (E_T - 1) drops the masks with one edge, which hold no pair.
+    shared = _containing(g.sorted_edges(), range(1, g.k)).items()
+    terms = [((-1) ** len(T), E_T) for T, E_T in shared if E_T & (E_T - 1)]
+    return sum(
+        comb(A.bit_count(), 2) + sum(sign * comb((A & E_T).bit_count(), 2) for sign, E_T in terms)
+        for _chosen, A in _matching_masks(g, r - 1)
+    )
 
 
 def extensions_of_matching(

@@ -5,7 +5,8 @@ from __future__ import annotations
 import hashlib
 import random
 import time
-from math import comb, factorial
+import tracemalloc
+from math import comb, factorial, perm
 
 import pytest
 
@@ -48,6 +49,7 @@ from corpus import (
     partite_corpus_small,
     partite_host,
     random_graph,
+    random_kgraph,
     sparse_graph_corpus,
 )
 
@@ -443,16 +445,62 @@ class TestMatchings:
             for r in (2, 3):
                 assert count_matchings(g, r) == brute_count_matchings(g, r)
         for g in kgraph_corpus(20, seed=808):
-            assert count_matchings(g, 2) == brute_count_matchings(g, 2)
+            for r in (2, 3):
+                assert count_matchings(g, r) == brute_count_matchings(g, r)
+        # Pairs of 4-edges can share 1, 2 or 3 vertices, so every sign of the
+        # inclusion-exclusion sum is exercised. 3-matchings need at least 3k
+        # vertices; about 50 edges there keep the referee's C(m, 3) scan small.
+        rng = random.Random(828)
+        for k in (3, 4):
+            sparse = [random_kgraph(n, k, 50 / comb(n, k), rng) for n in range(3 * k, 3 * k + 4) for _ in range(4)]
+            assert sum(count_matchings(g, 3) > 0 for g in sparse) >= 8
+            for g in kgraph_corpus(20, seed=818, k=k) + sparse:
+                for r in (2, 3):
+                    assert count_matchings(g, r) == brute_count_matchings(g, r)
+        for n in (1, 4, 9):
+            g = random_kgraph(n, 1, 0.7, rng)
+            for r in (1, 2, 3, 4):
+                assert count_matchings(g, r) == brute_count_matchings(g, r) == comb(g.m, r)
+
+    def test_complete_bipartite_closed_form(self):
+        for a in range(1, 6):
+            for b in range(a, 7):
+                g, _ = complete_bipartite(a, b)
+                for r in range(1, a + 1):
+                    assert count_matchings(g, r) == comb(a, r) * perm(b, r)
+        assert count_matchings(complete_bipartite(4, 64)[0], 3) == 999_936
+
+    def test_dense_host_counts_without_walking_every_prefix(self):
+        # Extending each of its 597,000 2-matchings one at a time took ~1 s on a 2-core VM.
+        g, _ = complete_bipartite(6, 200)
+        start = time.perf_counter()
+        assert count_matchings(g, 3) == 157_608_000
+        assert time.perf_counter() - start < 0.5
+
+    def test_memory_follows_edges_not_declared_vertices(self):
+        g = Hypergraph.from_edges(2, 10**7, [(0, 1), (2, 3), (5, 10**7 - 1)])
+        g.sorted_edges()
+        tracemalloc.start()
+        try:
+            assert count_matchings(g, 2) == 3
+            assert len(list(enumerate_matchings(g, 2))) == 3
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 10 * 2**20
 
     def test_enumeration_agrees_with_count(self):
-        g = random_graph(8, 0.5, random.Random(9))
-        ms = list(enumerate_matchings(g, 2))
-        assert len(ms) == count_matchings(g, 2)
-        assert len(set(ms)) == len(ms)
-        for mtch in ms:
-            verts = mtch.vertices()
-            assert len(verts) == len(set(verts))
+        hosts = graph_corpus(40, max_n=9, seed=9) + kgraph_corpus(15, seed=19, max_n=12)
+        rng = random.Random(39)
+        hosts += [random_kgraph(n, 4, 80 / comb(n, 4), rng) for n in range(12, 17)]
+        for g in hosts:
+            for r in (1, 2, 3, 4):
+                ms = list(enumerate_matchings(g, r))
+                assert len(ms) == count_matchings(g, r)
+                assert len(set(ms)) == len(ms)
+                for mtch in ms:
+                    verts = mtch.vertices()
+                    assert len(verts) == len(set(verts))
 
 
 class TestExtensions:
