@@ -83,6 +83,21 @@ def brute_copies_oriented(g: Hypergraph, U, W, r: int, s: int) -> list[tuple[tup
     return found
 
 
+def brute_is_partite(g: Hypergraph, spec: PartitionSpec) -> bool:
+    """spec has g.k parts whose vertices are exactly [0, n), and every edge meets each part once."""
+    if spec.k != g.k:
+        return False
+    covered = [v for part in spec.parts for v in part]
+    if len(covered) != g.n or set(covered) != set(range(g.n)):
+        return False
+    pmap = spec.part_index()
+    expect = list(range(g.k))
+    for e in g.edges:
+        if sorted(pmap[v] for v in e) != expect:
+            return False
+    return True
+
+
 def brute_count_partite_copies(g: Hypergraph, spec: PartitionSpec, r: int) -> int:
     """Anchored copies: choose an r-set in every part, check all transversals."""
     choices = [list(combinations(part, r)) for part in spec.parts]

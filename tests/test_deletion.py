@@ -3,15 +3,18 @@
 from __future__ import annotations
 
 import csv
+import hashlib
 import io
 import json
 import math
+import time
 
 import pytest
 
 from krsfree import (
     GENERATOR_ID,
     Hypergraph,
+    build_construction,
     complete_bipartite,
     complete_multipartite,
     count_copies,
@@ -267,3 +270,85 @@ class TestSerialization:
         for key in REPORT_CSV_COLUMNS[1:]:
             assert key in d
         assert d["freeness_verified"] is True
+
+
+class TestFrozenPolicyDigests:
+    """Every policy's batches, frozen as sha256 of reports_to_csv + summary_to_json.
+
+    At p = 0.6 and 0.9 the samples keep overlapping copies, so the three
+    policies delete different edges; any change to which edge a policy picks,
+    or to the draws of "random", shows up here.
+    """
+
+    DIGESTS = {
+        "c3_2_2_parts": {
+            "lex": "01e4a506eea0fdcb37ec0c2735582db87840bd710f8c8fb4a1c9eb6bbe4ebbc7",
+            "random": "9f5987581e5736a8799fee60baee37d4d244b264685167710384b621ca966081",
+            "greedy": "bc9beca5eda0ba098b3dedae1b2b00245d53a6028f96700f99ef0116c917ae00",
+        },
+        "c3_2_2": {
+            "lex": "01e4a506eea0fdcb37ec0c2735582db87840bd710f8c8fb4a1c9eb6bbe4ebbc7",
+            "random": "9f5987581e5736a8799fee60baee37d4d244b264685167710384b621ca966081",
+            "greedy": "bc9beca5eda0ba098b3dedae1b2b00245d53a6028f96700f99ef0116c917ae00",
+        },
+        "c2_2_3_parts": {
+            "lex": "c625a1345e95d9fd119201150100c6133ca7c8c9cf9172ff9a1610633f3b63ea",
+            "random": "21aae911816d3654583ebb1b67e48e1c49a37da9e8d8ad119569548fa9190d31",
+            "greedy": "052aaec35e2e2e017aa950690572182bc8c0034215d8b4618db5ace33b4ce1f1",
+        },
+        "c2_2_3": {
+            "lex": "def99f1b1ab603fc81bfa81628b679ce05bdbc7eca8044e7567d90dc0e6b986f",
+            "random": "68647a4cd7eed50b1d33d242bb2f019f8ce82fb07c5c25af658630b035854410",
+            "greedy": "052aaec35e2e2e017aa950690572182bc8c0034215d8b4618db5ace33b4ce1f1",
+        },
+        "graph_corpus": {
+            "lex": "504f8ab1dec4ae450ac8655ddc53979ac9dc26b4cb32ac97f9a67a02056d6f30",
+            "random": "7e7ab8d19825fc69e5a65c6298a753da50fb63ca9254e871f556b2e38fc3c617",
+            "greedy": "7195aa4573e7e027f25f1087b44ffffef0c32b500a220179b96708d8b963b9c4",
+        },
+    }
+
+    @staticmethod
+    def _hosts():
+        g322, s322, _ = build_construction(3, 2, 2)
+        g223, s223, _ = build_construction(2, 2, 3)
+        return {
+            "c3_2_2_parts": ([g322], s322),
+            "c3_2_2": ([g322], None),
+            "c2_2_3_parts": ([g223], s223),
+            "c2_2_3": ([g223], None),
+            "graph_corpus": (graph_corpus(30, max_n=9, seed=616)[2:], None),
+        }
+
+    def test_batch_digests(self):
+        for name, (hosts, spec) in self._hosts().items():
+            for policy in EDGE_CHOICE_POLICIES:
+                h = hashlib.sha256()
+                for g in hosts:
+                    for p in (None, 0.6, 0.9):
+                        summary = run_trials(g, 2, 3, 5, spec, policy, p)
+                        h.update(reports_to_csv(summary.reports).encode())
+                        h.update(summary_to_json(summary).encode())
+                assert h.hexdigest() == self.DIGESTS[name][policy], (name, policy)
+
+    def test_policies_diverge_on_overlapping_copies(self):
+        g, spec, _ = build_construction(2, 2, 3)
+        outcomes = {
+            policy: [
+                (rep.edges_deleted, rep.final_size)
+                for rep in run_trials(g, 2, 3, 5, spec, policy, 0.9).reports
+            ]
+            for policy in EDGE_CHOICE_POLICIES
+        }
+        assert len({tuple(v) for v in outcomes.values()}) == len(EDGE_CHOICE_POLICIES)
+
+    def test_greedy_is_linear_in_copy_edge_incidences(self):
+        # K_{12,12} at p = 1 keeps all 4,356 overlapping C4s: recounting the
+        # live copies through an edge on demand, or rescanning the copies for
+        # every victim, would be quadratic in them.
+        g, spec = complete_bipartite(12, 12)
+        start = time.perf_counter()
+        _, rep = extract_free_subgraph(g, 2, seed=0, spec=spec, edge_choice="greedy", p=1.0)
+        assert time.perf_counter() - start < 1.0
+        assert rep.copies_found == 4356
+        assert rep.freeness_verified

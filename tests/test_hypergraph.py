@@ -29,7 +29,8 @@ from krsfree import (
     run_trials,
 )
 
-from corpus import partite_corpus_small, random_graph
+from bruteforce import brute_is_partite
+from corpus import graph_corpus, kgraph_corpus, partite_corpus_small, random_graph
 
 
 class TestHypergraph:
@@ -68,6 +69,61 @@ class TestPartition:
         g2 = Hypergraph.from_edges(2, 5, list(g.edges) + [(0, 1)])
         assert not is_partite(g2, spec)
 
+
+    @staticmethod
+    def _random_specs(g: Hypergraph, rng: random.Random):
+        """Random partitions of g: proper ones, and ones with a vertex dropped,
+        an out-of-range vertex added, or a part too many."""
+        for _ in range(4):
+            parts = [[] for _ in range(g.k)]
+            for v in range(g.n):
+                parts[rng.randrange(g.k)].append(v)
+            yield PartitionSpec.from_parts(parts)
+            if g.n:
+                drop = rng.randrange(g.n)
+                yield PartitionSpec.from_parts([[v for v in part if v != drop] for part in parts])
+            yield PartitionSpec.from_parts(parts[:-1] + [parts[-1] + [g.n + rng.randrange(2)]])
+            yield PartitionSpec.from_parts(parts + [[]])
+
+    def test_matches_brute_on_random_partitions(self):
+        rng = random.Random(4242)
+        hosts = graph_corpus(60, max_n=8, seed=31)
+        hosts += kgraph_corpus(20, seed=32)
+        hosts += [g for g, _ in partite_corpus_small(30, seed=33)]
+        outcomes = set()
+        for g, spec in [(g, s) for g in hosts for s in self._random_specs(g, rng)] + [
+            (g, s) for g, s in partite_corpus_small(30, seed=33)
+        ]:
+            got = is_partite(g, spec)
+            assert got == brute_is_partite(g, spec), (g, spec)
+            outcomes.add(got)
+        assert outcomes == {True, False}
+
+    EDGE_CASES = [
+        # (name, host, parts, partite)
+        ("fits", Hypergraph.from_edges(2, 4, [(0, 2), (1, 3)]), ((0, 1), (2, 3)), True),
+        ("empty part, no edges", Hypergraph(2, 3, frozenset()), ((0, 1, 2), ()), True),
+        ("empty part, an edge", Hypergraph.from_edges(2, 3, [(0, 1)]), ((0, 1, 2), ()), False),
+        ("vertex < 0", Hypergraph.from_edges(2, 3, [(0, 2)]), ((-1, 0, 1), (2,)), False),
+        ("vertex < 0, sizes sum to n", Hypergraph.from_edges(2, 3, [(0, 2)]), ((-1, 0), (2,)), False),
+        ("vertex >= n", Hypergraph.from_edges(2, 3, [(0, 2)]), ((0, 1), (2, 3)), False),
+        ("vertex >= n, sizes sum to n", Hypergraph.from_edges(2, 3, [(0, 2)]), ((0,), (2, 3)), False),
+        ("uncovered isolated vertex", Hypergraph.from_edges(2, 4, [(0, 2)]), ((0, 1), (2,)), False),
+        ("uncovered vertex with edges", Hypergraph.from_edges(2, 4, [(0, 3)]), ((0, 1), (2,)), False),
+        ("edge inside a part", Hypergraph.from_edges(2, 4, [(0, 2), (0, 1)]), ((0, 1), (2, 3)), False),
+        ("spec.k > g.k", Hypergraph.from_edges(2, 3, [(0, 1)]), ((0,), (1,), (2,)), False),
+        ("spec.k < g.k", Hypergraph.from_edges(3, 3, [(0, 1, 2)]), ((0, 1), (2,)), False),
+        ("n = 0", Hypergraph(2, 0, frozenset()), ((), ()), True),
+        ("n = 0, spec.k != g.k", Hypergraph(2, 0, frozenset()), ((),), False),
+        ("3-graph fits", Hypergraph.from_edges(3, 4, [(0, 1, 3), (0, 2, 3)]), ((0,), (1, 2), (3,)), True),
+        ("3-graph, two in a part", Hypergraph.from_edges(3, 4, [(0, 1, 2)]), ((0,), (1, 2), (3,)), False),
+    ]
+
+    @pytest.mark.parametrize("name,g,parts,partite", EDGE_CASES, ids=[c[0] for c in EDGE_CASES])
+    def test_edge_cases_match_brute(self, name, g, parts, partite):
+        spec = PartitionSpec(parts)
+        assert brute_is_partite(g, spec) is partite
+        assert is_partite(g, spec) is partite
 
 class TestBuilders:
     def test_complete_bipartite_counts(self):
