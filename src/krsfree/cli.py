@@ -1,8 +1,10 @@
 """Command line front end.
 
 Subcommands: construct, count, extract, oracle, certify, bounds.
-Exit codes: 0 success, 1 usage error, 2 I/O or parse error, 3 capacity error,
-4 internal bound violation (count only; should never happen).
+Exit codes: 0 success; 1 usage error; 2 an unreadable, malformed or
+ill-fitting input file (or an unwritable output file); 3 capacity error;
+4 internal error, including a failed count bound (indicates a bug; an
+unexpected exception prints its traceback).
 
 All floats are printed with 12 significant digits and reruns with the same
 arguments are byte-identical.
@@ -14,6 +16,8 @@ import argparse
 import json
 import math
 import sys
+import traceback
+from contextlib import contextmanager
 
 from .deletion import (
     _fmt_float,
@@ -52,11 +56,23 @@ EXIT_OK = 0
 EXIT_USAGE = 1
 EXIT_IO = 2
 EXIT_CAPACITY = 3
-EXIT_BOUND_VIOLATION = 4
+EXIT_INTERNAL = 4
 
 
 class UsageError(Exception):
     pass
+
+
+class InputError(Exception):
+    """An input file that cannot be read or parsed, or that does not fit the host."""
+
+
+@contextmanager
+def _reading_input():
+    try:
+        yield
+    except (OSError, ValueError) as exc:
+        raise InputError(str(exc)) from exc
 
 
 class _Parser(argparse.ArgumentParser):
@@ -89,7 +105,15 @@ def _construct(args: argparse.Namespace) -> tuple[Hypergraph, PartitionSpec, Con
     return build_construction(args.n, args.r, args.k)
 
 
-def _load_host(args: argparse.Namespace) -> tuple[Hypergraph, PartitionSpec | None]:
+def _load_host(
+    args: argparse.Namespace, reads_graph_parts: bool = True
+) -> tuple[Hypergraph, PartitionSpec | None]:
+    """The host and its partition; a bad or ill-fitting file is an InputError.
+
+    A partition file is checked once on the whole host, so a command whose
+    work sees only part of it (a trial's sample) cannot miss the edges that
+    break it. A built host's partition fits by construction.
+    """
     if args.construct:
         if args.input:
             raise UsageError("give either --input or --construct, not both")
@@ -97,8 +121,14 @@ def _load_host(args: argparse.Namespace) -> tuple[Hypergraph, PartitionSpec | No
         return g, spec
     if not args.input:
         raise UsageError("need --input PATH or --construct")
-    g = read_hypergraph(args.input)
-    spec = read_partition(args.parts) if args.parts else None
+    with _reading_input():
+        g = read_hypergraph(args.input)
+        if not args.parts:
+            return g, None
+        if g.k == 2 and not reads_graph_parts:
+            raise UsageError("--parts on a graph host needs --s")
+        spec = read_partition(args.parts)
+        require_partite(g, spec)
     return g, spec
 
 
@@ -139,21 +169,18 @@ def cmd_count(args: argparse.Namespace) -> int:
         sys.stdout.write(f"copy_bound_relaxed {relaxed}\n")
         ok = ok and bound <= relaxed
     sys.stdout.write(f"bounds {'PASS' if ok else 'FAIL'}\n")
-    return EXIT_OK if ok else EXIT_BOUND_VIOLATION
+    return EXIT_OK if ok else EXIT_INTERNAL
 
 
 def cmd_extract(args: argparse.Namespace) -> int:
     g, spec = _load_host(args)
     r = _require_r(args)
+    if g.k < 2:
+        raise UsageError("extract needs a host with k >= 2")
     if args.trials < 1:
         raise UsageError("--trials must be >= 1")
     if args.seed < 0:
         raise UsageError("--seed must be >= 0")
-    # A partition file is checked once on the host: each trial sees only its
-    # sample, which may miss the edges that break the partition. A built
-    # host's partition fits by construction.
-    if args.parts:
-        require_partite(g, spec)
     summary = run_trials(
         g,
         r,
@@ -182,7 +209,10 @@ def cmd_extract(args: argparse.Namespace) -> int:
 def cmd_oracle(args: argparse.Namespace) -> int:
     if args.s is None and args.orientation is not None:
         raise UsageError("--orientation needs --s")
-    g, spec = _load_host(args)
+    if args.budget < 1:
+        raise UsageError("--budget must be >= 1")
+    # The K_{r,r} pattern of a graph host reads no partition.
+    g, spec = _load_host(args, reads_graph_parts=args.s is not None)
     r = _require_r(args)
     if args.s is None:
         pattern = PatternSpec.krr(r) if g.k == 2 else PatternSpec.multipartite(r, g.k)
@@ -190,6 +220,8 @@ def cmd_oracle(args: argparse.Namespace) -> int:
         raise UsageError("--s needs a graph host (k = 2)")
     elif spec is None:
         raise UsageError("biclique oracle with --s needs --parts or --construct")
+    elif args.s < r:
+        raise UsageError("need --s >= --r")
     elif args.orientation == "either":
         pattern = PatternSpec.krs_either(r, args.s)
     else:
@@ -213,13 +245,20 @@ def cmd_certify(args: argparse.Namespace) -> int:
     g, spec = _load_host(args)
     if spec is None:
         raise UsageError("certify needs --parts or --construct")
+    if g.k != 2:
+        raise UsageError("certify needs a graph host (k = 2)")
+    if not spec.parts[1]:
+        raise UsageError("certify needs a nonempty second part")
     r = _require_r(args)
     s = args.s if args.s is not None else r
+    if s < 1:
+        raise UsageError("need --s >= 1")
     if args.subgraph:
-        sub = read_hypergraph(args.subgraph)
-        if sub.k != g.k or sub.n != g.n:
-            raise ValueError("subgraph dimensions do not match the host")
-        gprime = EdgeSubset(g, sub.edges)
+        with _reading_input():
+            sub = read_hypergraph(args.subgraph)
+            if sub.k != g.k or sub.n != g.n:
+                raise ValueError("subgraph dimensions do not match the host")
+            gprime = EdgeSubset(g, sub.edges)
     else:
         gprime = EdgeSubset(g, g.edges)
     report = kst_certificate(gprime, spec, r, s)
@@ -250,6 +289,8 @@ def cmd_bounds(args: argparse.Namespace) -> int:
     s = args.s if args.s is not None else r
     if k == 2 and s < r:
         raise UsageError("need s >= r for the graph bound")
+    if args.budget < 1:
+        raise UsageError("--budget must be >= 1")
     q = pattern_exponent(r, k)
     rows = ["n,m,guarantee,upper_bound,oracle_optimum,certified"]
     for base in range(1, args.n + 1):
@@ -282,8 +323,8 @@ def build_parser() -> _Parser:
         prog="krsfree",
         description="Largest biclique-free subgraph toolkit for k-uniform hypergraphs.",
         epilog=(
-            "Exit codes: 0 success, 1 usage, 2 I/O or parse, 3 capacity, "
-            "4 internal bound violation."
+            "Exit codes: 0 success, 1 usage, 2 unreadable, malformed or ill-fitting "
+            "input file, 3 capacity, 4 internal error (a bug)."
         ),
     )
     sub = parser.add_subparsers(dest="command", required=True)
@@ -375,12 +416,15 @@ def main(argv: list[str] | None = None) -> int:
     except UsageError as exc:
         sys.stderr.write(f"usage error: {exc}\n")
         return EXIT_USAGE
+    except (InputError, OSError) as exc:
+        sys.stderr.write(f"error: {exc}\n")
+        return EXIT_IO
     except CapacityError as exc:
         sys.stderr.write(f"capacity error: {exc}\n")
         return EXIT_CAPACITY
-    except (OSError, ValueError) as exc:
-        sys.stderr.write(f"error: {exc}\n")
-        return EXIT_IO
+    except Exception:
+        traceback.print_exc()
+        return EXIT_INTERNAL
 
 
 def run() -> None:

@@ -128,7 +128,9 @@ def extract_free_subgraph(
 ) -> tuple[EdgeSubset, DeletionRunReport]:
     """One seeded run of the sparsify-then-delete extraction.
 
-    Policies for which edge of a still-present copy gets deleted:
+    One pass over the sample's copies in enumeration order: a copy that an
+    earlier deletion already hit is skipped, and from each other copy one
+    edge, the victim, is deleted. The policy picks only the victim:
       * "lex": the lexicographically smallest edge of the copy (default);
       * "random": a seeded-uniform edge of the copy, drawn from the same
         generator that produced the sample;
@@ -158,33 +160,28 @@ def extract_free_subgraph(
     sub = sample.as_hypergraph()
     copies = [sorted(c.edge_set()) for c in enumerate_copies(sub, r, spec)]
 
+    through: dict = {}
+    for idx, cedges in enumerate(copies):
+        for e in cedges:
+            through.setdefault(e, []).append(idx)
+    live = {e: len(ids) for e, ids in through.items()}
+    hit = [False] * len(copies)
     deleted: set = set()
-    if edge_choice == "greedy":
-        edge_to_copies: dict = {}
-        for idx, cedges in enumerate(copies):
-            for e in cedges:
-                edge_to_copies.setdefault(e, []).append(idx)
-        alive = [True] * len(copies)
-        live_count = {e: len(ids) for e, ids in edge_to_copies.items()}
-        for idx, cedges in enumerate(copies):
-            if not alive[idx]:
-                continue
-            victim = min(cedges, key=lambda e: (-live_count[e], e))
-            deleted.add(victim)
-            for j in edge_to_copies[victim]:
-                if alive[j]:
-                    alive[j] = False
-                    for e in copies[j]:
-                        live_count[e] -= 1
-    else:
-        for cedges in copies:
-            if any(e in deleted for e in cedges):
-                continue
-            if edge_choice == "lex":
-                victim = cedges[0]
-            else:
-                victim = cedges[int(rng.integers(len(cedges)))]
-            deleted.add(victim)
+    for idx, cedges in enumerate(copies):
+        if hit[idx]:
+            continue
+        if edge_choice == "lex":
+            victim = cedges[0]
+        elif edge_choice == "random":
+            victim = cedges[int(rng.integers(len(cedges)))]
+        else:
+            victim = min(cedges, key=lambda e: (-live[e], e))
+        deleted.add(victim)
+        for j in through[victim]:
+            if not hit[j]:
+                hit[j] = True
+                for e in copies[j]:
+                    live[e] -= 1
 
     final_edges = frozenset(sample.edges - deleted)
     free = count_copies(Hypergraph(g.k, g.n, final_edges), r, spec) == 0
@@ -221,14 +218,7 @@ def run_trials(
     )
 
     m = g.m
-    q = pattern_exponent(r, g.k)
-    if m >= 1:
-        params = deletion_params(m, r, g.k)
-        guarantee = params.guarantee
-        p_used = params.p if p is None else float(p)
-    else:
-        guarantee = 0.0
-        p_used = 0.0 if p is None else float(p)
+    guarantee = deletion_params(m, r, g.k).guarantee if m >= 1 else 0.0
     finals = [rep.final_size for rep in reports]
     mean_final = sum(finals) / num_trials
     mean_copies = sum(rep.copies_found for rep in reports) / num_trials
@@ -237,8 +227,8 @@ def run_trials(
         m=m,
         r=r,
         k=g.k,
-        q=q,
-        p=p_used,
+        q=pattern_exponent(r, g.k),
+        p=reports[0].p,
         policy=edge_choice,
         generator=GENERATOR_ID,
         num_trials=num_trials,
@@ -250,7 +240,7 @@ def run_trials(
         mean_copies_found=mean_copies,
         fraction_meeting_guarantee=meeting / num_trials,
         max_meets_guarantee=max(finals) >= math.ceil(guarantee - 1e-9),
-        vacuous_regime=m < 2**q,
+        vacuous_regime=reports[0].vacuous_regime,
         reports=reports,
     )
 

@@ -115,15 +115,14 @@ def is_partite(g: Hypergraph, spec: PartitionSpec) -> bool:
     """True iff spec has g.k parts covering [0, n) and every edge meets each part once."""
     if spec.k != g.k:
         return False
-    covered = [v for part in spec.parts for v in part]
-    if len(covered) != g.n or set(covered) != set(range(g.n)):
+    # Parts are sorted and pairwise disjoint, so they cover [0, n) exactly
+    # when their sizes sum to n and each lies within [0, n).
+    if sum(map(len, spec.parts)) != g.n:
+        return False
+    if any(part and (part[0] < 0 or part[-1] >= g.n) for part in spec.parts):
         return False
     pmap = spec.part_index()
-    expect = list(range(g.k))
-    for e in g.edges:
-        if sorted(pmap[v] for v in e) != expect:
-            return False
-    return True
+    return all(len({pmap[v] for v in e}) == g.k for e in g.edges)
 
 
 def require_partite(g: Hypergraph, spec: PartitionSpec) -> None:

@@ -13,7 +13,7 @@ import pytest
 import krsfree
 from krsfree import complete_bipartite, write_hypergraph, write_partition
 from krsfree.cli import (
-    EXIT_BOUND_VIOLATION,
+    EXIT_INTERNAL,
     EXIT_CAPACITY,
     EXIT_IO,
     EXIT_OK,
@@ -383,6 +383,127 @@ class TestBounds:
         assert run_cli(capsys, "bounds", "--r", "3", "--s", "2", "--n", "2")[0] == EXIT_USAGE
         assert run_cli(capsys, "bounds", "--r", "2", "--k", "3", "--s", "9", "--n", "1")[0] == EXIT_USAGE
 
+
+class TestExitCodes:
+    """2 only for a bad or ill-fitting input file; flag mistakes are 1, bugs are 4."""
+
+    ILL_FITTING_HOST = "2 6 6\n0 1\n0 2\n0 3\n1 2\n1 3\n4 5\n"
+    ILL_FITTING_PARTS = "0 1 4\n2 3 5\n"  # edge 0-1 lies inside a part
+
+    @pytest.fixture()
+    def ill_fitting(self, tmp_path):
+        host = tmp_path / "h.txt"
+        host.write_text(self.ILL_FITTING_HOST)
+        parts = tmp_path / "h.parts"
+        parts.write_text(self.ILL_FITTING_PARTS)
+        return str(host), str(parts)
+
+    def test_oracle_budget_below_one_is_usage_error(self, capsys, k24_file):
+        code, out, err = run_cli(capsys, "oracle", "--input", k24_file, "--r", "2", "--budget", "0")
+        assert code == EXIT_USAGE
+        assert out == ""
+        assert "--budget" in err
+
+    def test_bounds_budget_below_one_is_usage_error(self, capsys):
+        code, _, err = run_cli(capsys, "bounds", "--r", "2", "--n", "2", "--budget", "0")
+        assert code == EXIT_USAGE
+        assert "--budget" in err
+
+    def test_oracle_s_below_r_is_usage_error(self, capsys, k24_file):
+        code, out, err = run_cli(
+            capsys,
+            "oracle", "--input", k24_file, "--parts", k24_file + ".parts", "--r", "2", "--s", "1",
+        )
+        assert code == EXIT_USAGE
+        assert out == ""
+        assert "--s" in err
+
+    def test_certify_on_a_kgraph_is_usage_error(self, capsys):
+        code, out, err = run_cli(capsys, "certify", "--construct", "--k", "3", "--r", "2", "--n", "2")
+        assert code == EXIT_USAGE
+        assert out == ""
+        assert "k = 2" in err
+
+    def test_certify_s_below_one_and_empty_second_part_are_usage_errors(self, capsys, tmp_path, k24_file):
+        base = ("certify", "--input", k24_file, "--parts", k24_file + ".parts", "--r", "2")
+        assert run_cli(capsys, *base, "--s", "0")[0] == EXIT_USAGE
+        host = tmp_path / "e.txt"
+        host.write_text("2 3 0\n")
+        parts = tmp_path / "e.parts"
+        parts.write_text("0 1 2\n\n")
+        code, _, err = run_cli(capsys, "certify", "--input", str(host), "--parts", str(parts), "--r", "2")
+        assert code == EXIT_USAGE
+        assert "second part" in err
+
+    def test_extract_on_a_one_graph_is_usage_error(self, capsys, tmp_path):
+        host = tmp_path / "k1.txt"
+        host.write_text("1 3 2\n0\n1\n")
+        code, out, _ = run_cli(capsys, "extract", "--input", str(host), "--r", "2")
+        assert code == EXIT_USAGE
+        assert out == ""
+
+    def test_oracle_parts_on_a_graph_needs_s(self, capsys, ill_fitting, k24_file):
+        # The K_{r,r} pattern reads no partition, fitting or not.
+        host, parts = ill_fitting
+        for argv in ((host, parts), (k24_file, k24_file + ".parts")):
+            code, out, err = run_cli(
+                capsys, "oracle", "--input", argv[0], "--parts", argv[1], "--r", "2"
+            )
+            assert code == EXIT_USAGE
+            assert out == ""
+            assert "--parts" in err and "--s" in err
+
+    def test_oracle_construct_passes_its_partition_silently(self, capsys):
+        code, out, _ = run_cli(capsys, "oracle", "--construct", "--k", "2", "--r", "2", "--n", "2")
+        assert code == EXIT_OK
+        assert json.loads(out)["proof_of_optimality"] is True
+
+    @pytest.mark.parametrize("command", [("count",), ("extract",), ("certify",), ("oracle", "--s", "2")])
+    def test_ill_fitting_parts_exit_2_for_every_command(self, capsys, ill_fitting, command):
+        host, parts = ill_fitting
+        code, out, err = run_cli(capsys, *command, "--input", host, "--parts", parts, "--r", "2")
+        assert code == EXIT_IO
+        assert out == ""
+        assert "not partite" in err
+
+    @pytest.mark.parametrize(
+        "text",
+        [None, "2 6\n", "2 6 1\n0 9\n", "2 6 1\n0 1\n"],
+        ids=["missing", "bad-header", "vertex-out-of-range", "edge-not-in-host"],
+    )
+    def test_bad_certify_subgraph_exits_2(self, capsys, tmp_path, k24_file, text):
+        sub = tmp_path / "sub.txt"
+        if text is not None:
+            sub.write_text(text)
+        code, out, err = run_cli(
+            capsys,
+            "certify", "--input", k24_file, "--parts", k24_file + ".parts",
+            "--r", "2", "--subgraph", str(sub),
+        )
+        assert code == EXIT_IO
+        assert out == ""
+        assert err.startswith("error:")
+
+    def test_certify_subgraph_of_other_dimensions_exits_2(self, capsys, tmp_path, k24_file):
+        sub = tmp_path / "sub.txt"
+        sub.write_text("2 7 1\n0 2\n")
+        code, _, err = run_cli(
+            capsys,
+            "certify", "--input", k24_file, "--parts", k24_file + ".parts",
+            "--r", "2", "--subgraph", str(sub),
+        )
+        assert code == EXIT_IO
+        assert "dimensions" in err
+
+    def test_library_value_error_is_internal_not_parse(self, capsys, monkeypatch, k24_file):
+        def broken(*args, **kwargs):
+            raise ValueError("simulated library bug")
+
+        monkeypatch.setattr("krsfree.cli.count_copies", broken)
+        code, out, err = run_cli(capsys, "count", "--input", k24_file, "--r", "2")
+        assert code == EXIT_INTERNAL
+        assert out == ""
+        assert "Traceback" in err and "simulated library bug" in err
 
 class TestParserBehaviour:
     def test_unknown_flag(self, capsys):
