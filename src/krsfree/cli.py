@@ -1,10 +1,9 @@
 """Command line front end.
 
 Subcommands: construct, count, extract, oracle, certify, bounds.
-Exit codes: 0 success; 1 usage error; 2 an unreadable, malformed or
-ill-fitting input file (or an unwritable output file); 3 capacity error;
-4 internal error, including a failed count bound (indicates a bug; an
-unexpected exception prints its traceback).
+Exit codes: 0 success, 1 usage error, 2 bad or ill-fitting input file (or
+unwritable output), 3 capacity error, 4 internal error: a failed count bound
+or an unexpected exception, which prints its traceback; either is a bug.
 
 All floats are printed with 12 significant digits and reruns with the same
 arguments are byte-identical.
@@ -108,12 +107,8 @@ def _construct(args: argparse.Namespace) -> tuple[Hypergraph, PartitionSpec, Con
 def _load_host(
     args: argparse.Namespace, reads_graph_parts: bool = True
 ) -> tuple[Hypergraph, PartitionSpec | None]:
-    """The host and its partition; a bad or ill-fitting file is an InputError.
-
-    A partition file is checked once on the whole host, so a command whose
-    work sees only part of it (a trial's sample) cannot miss the edges that
-    break it. A built host's partition fits by construction.
-    """
+    """The host and partition. A --parts file is checked on the whole host, as a
+    trial's sample may miss the edges that break it; a built one fits already."""
     if args.construct:
         if args.input:
             raise UsageError("give either --input or --construct, not both")

@@ -69,7 +69,6 @@ class TestPartition:
         g2 = Hypergraph.from_edges(2, 5, list(g.edges) + [(0, 1)])
         assert not is_partite(g2, spec)
 
-
     @staticmethod
     def _random_specs(g: Hypergraph, rng: random.Random):
         """Random partitions of g: proper ones, and ones with a vertex dropped,
@@ -90,10 +89,10 @@ class TestPartition:
         hosts = graph_corpus(60, max_n=8, seed=31)
         hosts += kgraph_corpus(20, seed=32)
         hosts += [g for g, _ in partite_corpus_small(30, seed=33)]
+        cases = [(g, s) for g in hosts for s in self._random_specs(g, rng)]
+        cases += partite_corpus_small(30, seed=33)
         outcomes = set()
-        for g, spec in [(g, s) for g in hosts for s in self._random_specs(g, rng)] + [
-            (g, s) for g, s in partite_corpus_small(30, seed=33)
-        ]:
+        for g, spec in cases:
             got = is_partite(g, spec)
             assert got == brute_is_partite(g, spec), (g, spec)
             outcomes.add(got)
@@ -124,6 +123,7 @@ class TestPartition:
         spec = PartitionSpec(parts)
         assert brute_is_partite(g, spec) is partite
         assert is_partite(g, spec) is partite
+
 
 class TestBuilders:
     def test_complete_bipartite_counts(self):
