@@ -158,7 +158,8 @@ def cmd_count(args: argparse.Namespace) -> int:
     sys.stdout.write(f"copies {copies}\n")
     sys.stdout.write(f"matchings {matchings}\n")
     sys.stdout.write(f"copy_bound {bound}\n")
-    ok = copies <= bound and matchings <= math.comb(g.m, r)
+    # The paper's chain: copies <= (k!)^r matchings <= (k!)^r C(m, r), the copy bound.
+    ok = copies <= math.factorial(g.k) ** r * matchings <= bound
     if g.k == 2 and g.m >= r:
         relaxed = copy_count_upper_bound_relaxed(g.m, r)
         sys.stdout.write(f"copy_bound_relaxed {relaxed}\n")

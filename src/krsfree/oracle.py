@@ -10,14 +10,18 @@ Patterns are described by PatternSpec:
 
 Before searching, max_free_subgraph computes a root upper bound and an
 incumbent:
-  * The bound is the Kővári–Sós–Turán count behind the paper's upper bound:
-    in a free subgraph each r-set of the r-side U has at most s - 1 common
-    neighbours, so sum_w C(d_w, r) <= (s - 1) C(|U|, r), and the largest
-    sum_w d_w it allows (greedy by marginal cost, d_w capped at w's host
-    degree) bounds the optimum. krr uses a BFS 2-colouring of the host and
-    takes the smaller bound of its two orientations; krs_oriented uses the
-    given orientation and krs_either the smaller of both. A non-bipartite krr
-    host and the multipartite pattern get no bound, which is reported as m.
+  * The bound is the paper's Kővári–Sós–Turán count, carried to k-graphs by
+    induction on links: in a free subgraph each choice of r-sets in
+    U_1 ... U_{k-1} has at most s - 1 common completions in U_k, so the
+    anchored copies of the links of the vertices of U_k add up to at most
+    (s - 1) prod_{i<k} C(|U_i|, r). A convex floor F(d) on the copies of a
+    d-edge link turns that into a cap on sum_x d_x (greedy by marginal cost,
+    d_x capped at x's host degree). At k = 2, F(d) = C(d, r) and the count is
+    sum_w C(d_w, r) <= (s - 1) C(|U|, r). krr uses a BFS 2-colouring of the
+    host and takes the smaller bound of its two orientations; krs_oriented
+    and the anchored multipartite pattern use the given parts in order, and
+    krs_either the smaller of both orientations. A non-bipartite krr host and
+    the unordered multipartite pattern get no bound, which is reported as m.
   * The incumbent comes from seeded insertion: the edges are added in the
     order of an np.random.default_rng(0) permutation, each unless some copy
     through it would become complete. With a bound below m, the passes
@@ -27,12 +31,13 @@ incumbent:
 If the incumbent meets the bound, it is optimal and is returned with zero
 nodes explored.
 
-Otherwise a branch and bound over edge deletions runs: branch on the surviving
-copy with the fewest deletable edges (ties broken lexicographically), children
-delete one edge each and freeze the earlier-tried ones, and a greedy packing of
-edge-disjoint surviving copies gives an admissible lower bound on the deletions
-still needed. Each node keeps the copies of its parent's list that miss the
-deleted edge. The search stops as soon as its incumbent meets the root bound.
+Otherwise a depth-first branch and bound over edge deletions runs on an
+explicit stack: branch on the surviving copy with the fewest deletable edges
+(ties broken lexicographically), children delete one edge each and freeze the
+earlier-tried ones, and a greedy packing of edge-disjoint surviving copies
+gives an admissible lower bound on the deletions still needed. Each node
+keeps the copies of its parent's list that miss the deleted edge. The search
+stops as soon as its incumbent meets the root bound.
 A node budget caps it; if it runs out, the best subgraph found so far is
 returned with the optimality flag cleared, and upper_bound - optimum is how
 far from proven it is.
@@ -42,8 +47,8 @@ from __future__ import annotations
 
 from collections import Counter, defaultdict
 from dataclasses import dataclass
-from math import comb
-from typing import Iterator
+from math import comb, prod
+from typing import Callable, Iterator, Sequence
 
 import numpy as np
 
@@ -173,62 +178,98 @@ def _two_colouring(g: Hypergraph) -> tuple[list[int], list[int]] | None:
     return [v for v, c in colour.items() if c == 0], [v for v, c in colour.items() if c == 1]
 
 
-def _kst_bound(caps: list[int], u_size: int, r: int, s: int) -> int:
-    """Largest sum of d_w with sum C(d_w, r) <= (s - 1) C(u_size, r) and d_w <= caps[w].
+def _balanced(t: int, n: int, f: Callable[[int], int]) -> int:
+    """Least sum of f(x_i) over n integers x_i >= 0 summing to t, for convex f.
 
-    Raising d_w from d to d + 1 costs C(d, r - 1), which never falls as d
-    grows, so taking the cheapest raises first is optimal. All raises from
-    level d cost the same, so they are taken a level at a time.
+    Convexity makes the most even split the cheapest. With no bins there is
+    nothing to count, so the sum is 0.
     """
-    budget = (s - 1) * comb(u_size, r)
+    if n == 0:
+        return 0
+    q, rem = divmod(t, n)
+    return rem * f(q + 1) + (n - rem) * f(q)
+
+
+def _link_floor(d: int, sizes: Sequence[int], r: int) -> int:
+    """A convex lower bound on the anchored side-r copies of a j-partite j-graph with d edges.
+
+    sizes holds the j part sizes. Jensen twice per level: the d edges split
+    over the last part's vertices, whose links hold at least the balanced sum
+    of the level-below floors; those link copies split over the r-set tuples
+    of the other parts, and a tuple completed by t vertices of the last part
+    lies in C(t, r) copies. With no parts the floor is d itself, so one part
+    gives C(d, r).
+    """
+    if not sizes:
+        return d
+    *prefix, last = sizes
+    link_copies = _balanced(d, last, lambda x: _link_floor(x, prefix, r))
+    return _balanced(link_copies, prod(comb(a, r) for a in prefix), lambda t: comb(t, r))
+
+
+def _kst_bound(caps: list[int], sizes: Sequence[int], r: int, s: int) -> int:
+    """Largest sum of d_x with sum F(d_x) <= (s - 1) N and d_x <= caps[x].
+
+    The r-set tuples of the parts of the given sizes number N = prod C(a, r),
+    and F is _link_floor over those parts. At k = 2 this is the
+    Kővári–Sós–Turán count sum C(d_x, r) <= (s - 1) C(|U|, r). Raising d_x
+    from d to d + 1 costs F(d + 1) - F(d), which never falls as d grows, so
+    taking the cheapest raises first is optimal. All raises from level d cost
+    the same, so they are taken a level at a time.
+    """
+    budget = (s - 1) * prod(comb(a, r) for a in sizes)
     caps = sorted(caps, reverse=True)
     total = 0
     d = 0
+    below = 0  # F(0): no edges, no copies
     while True:
         while caps and caps[-1] <= d:
             caps.pop()
-        cost = comb(d, r - 1)
+        above = _link_floor(d + 1, sizes, r)
+        cost = above - below
         take = len(caps) if cost == 0 else min(len(caps), budget // cost)
         total += take
         if take < len(caps) or not caps:
             return total
         budget -= take * cost
         d += 1
+        below = above
 
 
 def _root_bound(g: Hypergraph, pattern: PatternSpec, spec: PartitionSpec | None) -> int:
-    """The Kővári–Sós–Turán count as an upper bound on the optimum (m if there is none).
+    """The paper's link-induction count as an upper bound on the optimum (m if there is none).
 
-    In a free subgraph each r-set of the r-side U has at most s - 1 common
-    neighbours on the other side W, so sum over w in W of C(d_w, r) is at most
-    (s - 1) C(|U|, r), with d_w at most w's host degree and U counting only
-    vertices with edges. A K_{r,r} copy in a bipartite host has its sides in
-    opposite colour classes of any 2-colouring, so krr needs no partition.
-    There is no bound for the multipartite pattern or a non-bipartite host.
+    In a free subgraph each choice S of r-sets in U_1 ... U_{k-1} has at most
+    s - 1 common completions x in the last part U_k (s = r for the side-r
+    patterns). Summing over S, the anchored copies c(L_x) of the links of
+    x in U_k add up to at most (s - 1) prod C(|U_i|, r), and c(L_x) is at
+    least _link_floor(d_x), so _kst_bound caps sum d_x, with d_x at most x's
+    host degree and U_i counting only vertices with edges. A K_{r,r} copy in a
+    bipartite host has its sides in opposite colour classes of any
+    2-colouring, so krr needs no partition. A non-bipartite krr host and the
+    unordered multipartite pattern get no bound.
     """
-    if pattern.kind == KIND_MULTIPARTITE:
-        return g.m
     if pattern.kind == KIND_KRR:
         sides = _two_colouring(g)
         if sides is None:
             return g.m
-        s = pattern.r
         orientations = [sides, sides[::-1]]
+    elif spec is None:
+        return g.m
     else:
-        assert spec is not None and pattern.s is not None
-        s = pattern.s
         orientations = [spec.parts]
         if pattern.kind == KIND_KRS_EITHER:
             orientations.append(spec.parts[::-1])
+    s = pattern.r if pattern.s is None else pattern.s
     degree = Counter(v for e in g.edges for v in e)
     return min(
         _kst_bound(
-            [degree[w] for w in w_side if degree[w]],
-            sum(1 for u in u_side if degree[u]),
+            [degree[x] for x in parts[-1] if degree[x]],
+            [sum(1 for u in part if degree[u]) for part in parts[:-1]],
             pattern.r,
             s,
         )
-        for u_side, w_side in orientations
+        for parts in orientations
     )
 
 
@@ -272,7 +313,8 @@ def max_free_subgraph(
             bit = rest & -rest
             through[bit.bit_length() - 1].append(c)
             rest ^= bit
-    best = [m, 0]
+    # The fewest deletions found so far, and the edges that solution keeps.
+    fewest, best_kept = m, 0
     rng = np.random.default_rng(0)
     for _ in range(_INSERTION_RESTARTS if upper_bound < m else 1):
         kept = 0
@@ -280,28 +322,29 @@ def max_free_subgraph(
             grown = kept | 1 << i
             if all(c & grown != c for c in through[i]):
                 kept = grown
-        if m - kept.bit_count() < best[0]:
-            best = [m - kept.bit_count(), kept]
-        if best[0] <= floor:
+        if m - kept.bit_count() < fewest:
+            fewest, best_kept = m - kept.bit_count(), kept
+        if fewest <= floor:
             break
 
+    # Depth first over edge deletions, on an explicit stack so that a deep
+    # first dive cannot overflow the interpreter's recursion limit. Each entry
+    # is (parent's surviving copies, edge deleted last, deleted, frozen, depth);
+    # a node's children are pushed in reverse, so they pop lowest bit first.
     nodes = 0
     exhausted = False
-
-    def search(parent_intact: list[int], cut: int, deleted: int, kept: int, depth: int) -> None:
-        nonlocal nodes, exhausted
-        if exhausted or best[0] <= floor:
-            return
+    stack: list[tuple[list[int], int, int, int, int]] = [(copy_masks, 0, 0, 0, 0)]
+    while stack and fewest > floor:
         if nodes >= budget:
             exhausted = True
-            return
+            break
+        parent_intact, cut, deleted, kept, depth = stack.pop()
         nodes += 1
         intact = [c for c in parent_intact if not c & cut]
         if not intact:
-            if depth < best[0]:
-                best[0] = depth
-                best[1] = full & ~deleted
-            return
+            if depth < fewest:
+                fewest, best_kept = depth, full & ~deleted
+            continue
         packed = 0
         packing = 0
         branch_key = None
@@ -309,7 +352,7 @@ def max_free_subgraph(
         for c in intact:
             free_bits = c & ~kept
             if not free_bits:
-                return  # some surviving copy is frozen solid: no solution below here
+                break  # some surviving copy is frozen solid: no solution below here
             if not c & packed:
                 packed |= c
                 packing += 1
@@ -317,19 +360,20 @@ def max_free_subgraph(
             if branch_key is None or key < branch_key:
                 branch_key = key
                 branch = free_bits
-        if depth + packing >= best[0]:
-            return
-        tried = 0
-        while branch:
-            bit = branch & -branch
-            branch ^= bit
-            search(intact, bit, deleted | bit, kept | tried, depth + 1)
-            tried |= bit
+        else:
+            if depth + packing < fewest:
+                children = []
+                tried = kept
+                while branch:
+                    bit = branch & -branch
+                    branch ^= bit
+                    children.append((intact, bit, deleted | bit, tried, depth + 1))
+                    tried |= bit
+                stack.extend(reversed(children))
 
-    search(copy_masks, 0, 0, 0, 0)
-    witness_edges = frozenset(edges[i] for i in range(m) if best[1] >> i & 1)
+    witness_edges = frozenset(edges[i] for i in range(m) if best_kept >> i & 1)
     return OracleResult(
-        optimum=m - best[0],
+        optimum=m - fewest,
         witness=EdgeSubset(g, witness_edges),
         nodes_explored=nodes,
         proof_of_optimality=not exhausted,

@@ -98,14 +98,18 @@ def brute_is_partite(g: Hypergraph, spec: PartitionSpec) -> bool:
     return True
 
 
-def brute_count_partite_copies(g: Hypergraph, spec: PartitionSpec, r: int) -> int:
+def brute_copies_partite(g: Hypergraph, spec: PartitionSpec, r: int) -> list[tuple[tuple[int, ...], ...]]:
     """Anchored copies: choose an r-set in every part, check all transversals."""
     choices = [list(combinations(part, r)) for part in spec.parts]
-    count = 0
-    for parts in product(*choices):
-        if all(tuple(sorted(t)) in g.edges for t in product(*parts)):
-            count += 1
-    return count
+    return [
+        parts
+        for parts in product(*choices)
+        if all(tuple(sorted(t)) in g.edges for t in product(*parts))
+    ]
+
+
+def brute_count_partite_copies(g: Hypergraph, spec: PartitionSpec, r: int) -> int:
+    return len(brute_copies_partite(g, spec, r))
 
 
 def brute_count_kgraph_unordered(g: Hypergraph, r: int) -> int:

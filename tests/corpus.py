@@ -59,6 +59,12 @@ def sparse_graph_corpus(seed: int = 6161) -> list[Hypergraph]:
     return graphs
 
 
+def disjoint_k33(blocks: int) -> Hypergraph:
+    """blocks vertex-disjoint copies of K_{3,3}, block b on vertices 6b .. 6b + 5."""
+    edges = [(6 * b + i, 6 * b + 3 + j) for b in range(blocks) for i in range(3) for j in range(3)]
+    return Hypergraph.from_edges(2, 6 * blocks, edges)
+
+
 def partite_host(sizes: tuple[int, ...], density: float, rng: random.Random,
                  min_edges: int = 0) -> tuple[Hypergraph, PartitionSpec]:
     """Random subgraph of a complete multipartite host, topped up to min_edges."""

@@ -12,6 +12,8 @@ import pytest
 
 import krsfree
 from krsfree import complete_bipartite, write_hypergraph, write_partition
+
+from corpus import disjoint_k33
 from krsfree.cli import (
     EXIT_INTERNAL,
     EXIT_CAPACITY,
@@ -85,6 +87,16 @@ class TestCount:
         assert lines["copy_bound"] == "144"
         assert lines["copy_bound_relaxed"] == "162"
         assert lines["bounds"] == "PASS"
+
+    def test_copies_are_checked_against_the_matchings(self, capsys, monkeypatch, tmp_path):
+        # K_{3,3} has 9 copies; 2 matchings would allow only (2!)^2 * 2 = 8 of
+        # them, though both counts stay under their own C(m, r) bounds.
+        path = tmp_path / "k33.txt"
+        write_hypergraph(complete_bipartite(3, 3)[0], str(path))
+        monkeypatch.setattr("krsfree.cli.count_matchings", lambda g, r: 2)
+        code, out, _ = run_cli(capsys, "count", "--input", str(path), "--r", "2")
+        assert code == EXIT_INTERNAL
+        assert "copies 9\n" in out and "bounds FAIL\n" in out
 
     def test_k24_copies(self, capsys, k24_file):
         code, out, _ = run_cli(capsys, "count", "--input", k24_file, "--r", "2")
@@ -306,14 +318,24 @@ class TestOracle:
         assert gaps[5] == 0
         assert gaps[8] > 0
 
-    def test_budget_exhaustion_still_exits_zero(self, capsys):
-        code, out, _ = run_cli(
-            capsys,
-            "oracle", "--construct", "--k", "3", "--r", "2", "--n", "2", "--budget", "2",
-        )
+    def test_budget_exhaustion_still_exits_zero(self, capsys, tmp_path):
+        # K_{8,8}'s root bound is 25 against an optimum of z(8; 2) = 24.
+        path = str(tmp_path / "k88.txt")
+        write_hypergraph(complete_bipartite(8, 8)[0], path)
+        code, out, _ = run_cli(capsys, "oracle", "--input", path, "--r", "2", "--budget", "2")
         assert code == EXIT_OK
         payload = json.loads(out)
         assert payload["proof_of_optimality"] is False
+
+    def test_deep_first_dive_still_exits_zero(self, capsys, tmp_path):
+        # The first dive on 340 disjoint K_{3,3} is deeper than the recursion limit.
+        path = str(tmp_path / "k33x340.txt")
+        write_hypergraph(disjoint_k33(340), path)
+        code, out, err = run_cli(capsys, "oracle", "--input", path, "--r", "2", "--budget", "5000")
+        assert code == EXIT_OK, err
+        payload = json.loads(out)
+        assert payload["proof_of_optimality"] is False
+        assert payload["nodes_explored"] == 5000 and payload["gap"] > 0
 
 
 class TestCertify:
@@ -370,6 +392,11 @@ class TestBounds:
         rows = [ln.split(",") for ln in out.splitlines()[1:]]
         assert [row[5] for row in rows] == ["true"] * 5
         assert [int(row[4]) for row in rows] == [1, 5, 12, 22, 35]
+
+    def test_kgraph_row_certified_by_the_link_bound(self, capsys):
+        code, out, _ = run_cli(capsys, "bounds", "--r", "2", "--k", "3", "--n", "2")
+        assert code == EXIT_OK
+        assert out.splitlines()[2] == "2,128,16,128,86,true"
 
     def test_writes_file(self, capsys, tmp_path):
         path = tmp_path / "table.csv"

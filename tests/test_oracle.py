@@ -26,17 +26,19 @@ from krsfree.oracle import (
     KIND_KRS_EITHER,
     KIND_KRS_ORIENTED,
     KIND_MULTIPARTITE,
+    _root_bound,
     iter_pattern_copies,
 )
 
 from bruteforce import (
     brute_copies_oriented,
+    brute_copies_partite,
     brute_copies_unordered,
     brute_max_free,
     copies_as_masks,
     mask_to_subset,
 )
-from corpus import graph_corpus, partite_host, random_graph
+from corpus import disjoint_k33, graph_corpus, partite_host, random_graph
 
 
 def oracle_and_brute(g: Hypergraph, pattern: PatternSpec) -> tuple[OracleResult, int]:
@@ -269,10 +271,59 @@ class TestRootBound:
         g = Hypergraph.from_edges(2, 5, [(0, 1), (0, 2), (1, 2), (2, 3), (2, 4), (3, 4), (1, 3)])
         result = max_free_subgraph(g, PatternSpec.krr(2))
         assert result.upper_bound == g.m
-        g, spec, _ = build_construction(2, 2, 3)
-        result = max_free_subgraph(g, PatternSpec.multipartite(2, 3), spec, budget=2)
+        # Without its partition the (2,2,3) host's pattern is unordered: no bound.
+        g, _, _ = build_construction(2, 2, 3)
+        result = max_free_subgraph(g, PatternSpec.multipartite(2, 3), budget=2)
         assert result.upper_bound == g.m
         assert not result.proof_of_optimality and result.nodes_explored == 2
+
+    def test_link_induction_bound_is_pinned(self):
+        # Pinned, so that a weaker bound fails as well as an invalid one. The
+        # (2,2,3) host's 86 is its optimum; the (3,2,3) host is never solved here.
+        multipartite = PatternSpec.multipartite(2, 3)
+        for n, bound in [(2, 86), (3, 1_080)]:
+            g, spec, _ = build_construction(n, 2, 3)
+            assert _root_bound(g, multipartite, spec) == bound
+        assert _root_bound(complete_bipartite(2, 4)[0], PatternSpec.krr(2), None) == 5
+        assert _root_bound(build_construction(3, 2, 2)[0], PatternSpec.krr(2), None) == 12
+
+    def test_kgraph_bound_is_at_least_the_optimum(self):
+        rng = random.Random(2014)
+        shapes = [(2, 2, 3), (2, 3, 2), (3, 2, 2), (2, 2, 4), (2, 3, 3), (2, 2, 2, 2), (2, 2, 2, 3)]
+        checked = below_m = met = 0
+        for sizes in shapes * 20:
+            g, spec = partite_host(sizes, rng.uniform(0.6, 1.0), rng)
+            if g.m > 18:
+                continue
+            pattern = PatternSpec.multipartite(2, g.k)
+            brute_opt, _ = brute_max_free(g, copies_as_masks(g, brute_copies_partite(g, spec, 2)))
+            result = max_free_subgraph(g, pattern, spec)
+            assert result.proof_of_optimality and result.optimum == brute_opt
+            assert brute_opt <= result.upper_bound == _root_bound(g, pattern, spec) <= g.m
+            checked += 1
+            below_m += result.upper_bound < g.m
+            met += result.upper_bound == brute_opt < g.m
+        assert checked >= 100 and below_m >= 40 and met >= 40
+
+    def test_anchored_graph_pattern_matches_the_oriented_one(self):
+        # multipartite(r, 2) with a partition is krs_oriented(r, r).
+        rng = random.Random(22)
+        for sizes in [(3, 3), (3, 5), (4, 4), (2, 6), (5, 3)] * 4:
+            g, spec = partite_host(sizes, rng.uniform(0.5, 1.0), rng)
+            anchored = max_free_subgraph(g, PatternSpec.multipartite(2, 2), spec)
+            oriented = max_free_subgraph(g, PatternSpec.krs_oriented(2, 2), spec)
+            assert anchored == oriented
+        g, spec = complete_bipartite(4, 16)
+        assert _root_bound(g, PatternSpec.multipartite(2, 2), spec) == 22 < g.m
+
+    def test_deep_first_dive_does_not_overflow(self):
+        # 340 disjoint K_{3,3}: the first dive deletes about three edges per
+        # block, deeper than the interpreter's recursion limit.
+        g = disjoint_k33(340)
+        result = max_free_subgraph(g, PatternSpec.krr(2), budget=5_000)
+        assert not result.proof_of_optimality and result.nodes_explored == 5_000
+        assert result.upper_bound - result.optimum > 0
+        assert len(result.witness.edges) == result.optimum
 
     @pytest.mark.parametrize("n", sorted(ZARANKIEWICZ))
     def test_zarankiewicz_table_closes_at_the_root(self, n):
@@ -369,6 +420,22 @@ class TestMilpCrossCheck:
                     assert result.optimum == optimum <= result.upper_bound
                     checked += 1
         assert checked >= 20
+
+    def test_kgraph_bound_holds_up_to_24_edges(self):
+        rng = random.Random(24)
+        checked = below_m = 0
+        for sizes in [(2, 3, 4), (3, 3, 3), (4, 3, 2), (2, 2, 2, 3), (3, 2, 2, 2)] * 6:
+            g, spec = partite_host(sizes, rng.uniform(0.7, 0.95), rng)
+            if g.m > 24:
+                continue
+            pattern = PatternSpec.multipartite(2, g.k)
+            optimum = self.milp_optimum(g.m, copies_as_masks(g, brute_copies_partite(g, spec, 2)))
+            result = max_free_subgraph(g, pattern, spec)
+            assert result.proof_of_optimality
+            assert result.optimum == optimum <= result.upper_bound
+            checked += 1
+            below_m += result.upper_bound < g.m
+        assert checked >= 20 and below_m >= 5
 
     def test_kgraph_patterns(self):
         rng = random.Random(5)
