@@ -12,8 +12,6 @@ import pytest
 
 import krsfree
 from krsfree import complete_bipartite, write_hypergraph, write_partition
-
-from corpus import disjoint_k33
 from krsfree.cli import (
     EXIT_INTERNAL,
     EXIT_CAPACITY,
@@ -22,6 +20,8 @@ from krsfree.cli import (
     EXIT_USAGE,
     main,
 )
+
+from corpus import disjoint_k33
 
 
 def run_cli(capsys, *argv: str) -> tuple[int, str, str]:
