@@ -108,6 +108,24 @@ def brute_copies_partite(g: Hypergraph, spec: PartitionSpec, r: int) -> list[tup
     ]
 
 
+def brute_partite_masks(g: Hypergraph, parts, r: int, s: int) -> list[tuple[tuple, tuple[int, ...]]]:
+    """The anchored product scan over every r-set tuple of all parts but the last.
+
+    Lists (S, C) in product order of S = (A_1, ..., A_{k-1}), each A_i an r-set
+    of parts[i] in lexicographic order, for every S whose transversals have at
+    least s common completions in the last part; C is those completions, sorted.
+    This is the sequence the library's anchored kernel must produce, in order.
+    """
+    found = []
+    for S in product(*(combinations(part, r) for part in parts[:-1])):
+        common = set(parts[-1])
+        for t in product(*S):
+            common = {x for x in common if tuple(sorted((*t, x))) in g.edges}
+        if len(common) >= s:
+            found.append((S, tuple(sorted(common))))
+    return found
+
+
 def brute_count_partite_copies(g: Hypergraph, spec: PartitionSpec, r: int) -> int:
     return len(brute_copies_partite(g, spec, r))
 

@@ -125,6 +125,39 @@ def partite_corpus_small(count: int, seed: int = 313) -> list[tuple[Hypergraph, 
     return out
 
 
+def shuffled_partite_corpus(count: int, seed: int = 1717) -> list[tuple[Hypergraph, PartitionSpec]]:
+    """Small partite instances whose vertex labels are shuffled, so the parts interleave.
+
+    In partite_host the parts are runs of consecutive labels, so vertex order
+    and part order agree; here they do not.
+    """
+    rng = random.Random(seed)
+    shapes = [(3, 4), (4, 3), (5, 5), (2, 2, 3), (3, 2, 3), (3, 3, 3), (2, 2, 2, 2), (3, 2, 3, 2)]
+    out = []
+    while len(out) < count:
+        g, spec = partite_host(rng.choice(shapes), rng.random(), rng)
+        label = list(range(g.n))
+        rng.shuffle(label)
+        edges = [tuple(sorted(label[v] for v in e)) for e in g.sorted_edges()]
+        parts = PartitionSpec.from_parts([label[v] for v in part] for part in spec.parts)
+        out.append((Hypergraph.from_edges(g.k, g.n, edges), parts))
+    return out
+
+
+def sparse_partite_host(sizes: tuple[int, ...], m: int, seed: int) -> tuple[Hypergraph, PartitionSpec]:
+    """m distinct random transversals of consecutive parts of the given sizes.
+
+    The transversals are drawn one by one, so the complete host is never built.
+    """
+    rng = random.Random(seed)
+    starts = [sum(sizes[:i]) for i in range(len(sizes))]
+    edges: set[tuple[int, ...]] = set()
+    while len(edges) < m:
+        edges.add(tuple(start + rng.randrange(size) for start, size in zip(starts, sizes)))
+    spec = PartitionSpec(tuple(tuple(range(start, start + size)) for start, size in zip(starts, sizes)))
+    return Hypergraph.from_edges(len(sizes), sum(sizes), edges), spec
+
+
 def kgraph_corpus(count: int, seed: int = 555, k: int = 3, max_n: int = 9) -> list[Hypergraph]:
     """Random k-uniform hypergraphs on k to max_n vertices for the unordered pattern paths."""
     rng = random.Random(seed)

@@ -6,6 +6,7 @@ import hashlib
 import random
 import time
 import tracemalloc
+from itertools import combinations
 from math import comb, factorial, perm
 
 import pytest
@@ -13,6 +14,7 @@ import pytest
 from krsfree import (
     Hypergraph,
     Matching,
+    PartitionSpec,
     PatternSpec,
     bernoulli_edge_sample,
     build_construction,
@@ -41,6 +43,7 @@ from bruteforce import (
     brute_count_partite_copies,
     brute_graph_masks,
     brute_kgraph_copies_in_order,
+    brute_partite_masks,
     without_isolated,
 )
 from corpus import (
@@ -50,7 +53,9 @@ from corpus import (
     partite_host,
     random_graph,
     random_kgraph,
+    shuffled_partite_corpus,
     sparse_graph_corpus,
+    sparse_partite_host,
 )
 
 
@@ -203,6 +208,49 @@ class TestPartiteCopies:
             for copy in enumerate_copies(g, 2, spec):
                 for part, upart in zip(copy.parts, spec.parts):
                     assert set(part) <= set(upart)
+
+
+class TestPartiteKernel:
+    """Anchored copies against the product-scan referee, in order.
+
+    Anchored copy order, the "lex" batches and the oriented oracle patterns all
+    follow the order of the kernel's (S, mask) pairs, so the pairs are compared
+    as sequences. Only the shuffled hosts interleave the parts in vertex order.
+    """
+
+    HOSTS = partite_corpus_small(60, seed=1515) + shuffled_partite_corpus(60)
+
+    @staticmethod
+    def _kernel_pairs(g: Hypergraph, r: int, spec: PartitionSpec):
+        masks, labels = _copy_masks(g, r, spec)
+        return [
+            (S, tuple(labels[i] for i in range(mask.bit_length()) if mask >> i & 1))
+            for S, mask in masks
+        ]
+
+    def test_matches_referee(self):
+        ks = set()
+        for g, spec in self.HOSTS:
+            ks.add(g.k)
+            for r in (1, 2, 3):
+                assert self._kernel_pairs(g, r, spec) == brute_partite_masks(g, spec.parts, r, r)
+        assert ks == {2, 3, 4}
+
+    def test_oriented_patterns_match_referee(self):
+        def expected(g, parts, r, s):
+            return [S + (B,) for S, C in brute_partite_masks(g, parts, r, s) for B in combinations(C, s)]
+
+        for g, spec in self.HOSTS:
+            if g.k != 2:
+                continue
+            for r in (2, 3):
+                for s in (r, r + 1, r + 2):
+                    forward = expected(g, spec.parts, r, s)
+                    backward = expected(g, spec.parts[::-1], r, s)
+                    oriented = iter_pattern_copies(g, PatternSpec.krs_oriented(r, s), spec)
+                    either = iter_pattern_copies(g, PatternSpec.krs_either(r, s), spec)
+                    assert [c.parts for c in oriented] == forward
+                    assert [c.parts for c in either] == forward + backward
 
 
 class TestKGraphCopies:
