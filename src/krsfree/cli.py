@@ -112,6 +112,8 @@ def _load_host(
     if args.construct:
         if args.input:
             raise UsageError("give either --input or --construct, not both")
+        if args.parts:
+            raise UsageError("--construct builds its own partition; --parts goes with --input")
         g, spec, _cspec = _construct(args)
         return g, spec
     if not args.input:

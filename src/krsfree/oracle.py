@@ -128,8 +128,8 @@ def iter_pattern_copies(
     if pattern.kind == KIND_KRS_EITHER:
         orientations.append(spec.parts[::-1])
     for parts in orientations:
-        masks = _partite_masks(g.edges, parts, pattern.r, pattern.s)
-        yield from _completions(masks, pattern.s, parts[-1])
+        masks, labels = _partite_masks(g.edges, parts, pattern.r, pattern.s)
+        yield from _completions(masks, pattern.s, labels)
 
 
 def is_free(

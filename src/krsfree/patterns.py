@@ -11,10 +11,12 @@ Copy conventions:
     r-sets with every transversal an edge, parts stored sorted by minimum;
   * partition given: part i of the copy must lie inside part i of the host.
 
-Unordered k >= 3 copies are found as the paper carries its bound over to
-hypergraphs, by induction on links: a copy whose least vertex is v leaves a
-copy with k - 1 parts in the link of v. They are listed in the order in which
+Copies are found as the paper carries its bound over to hypergraphs. An
+unordered k >= 3 copy whose least vertex is v leaves a copy with k - 1 parts in
+the link of v (induction on links); they are listed in the order in which
 extending every r-matching, in order, first meets them (see _first_seen_key).
+An anchored copy's first k - 1 parts are an anchored copy one part down
+(induction on parts); both end in the wedge kernel for graphs.
 
 All counts are exact integers.
 """
@@ -26,7 +28,7 @@ from collections import Counter
 from dataclasses import dataclass
 from itertools import combinations, groupby, permutations, product
 from math import comb, factorial
-from typing import Collection, Iterable, Iterator, Sequence
+from typing import Callable, Collection, Iterable, Iterator, Sequence
 
 from .hypergraph import Edge, Hypergraph, PartitionSpec, require_partite
 
@@ -68,9 +70,10 @@ def pattern_exponent(r: int, k: int) -> int:
 # The common-completion kernel. The copy mask loops yield (S, mask): S is a
 # tuple of r-sets and the mask holds the vertices that complete every
 # transversal of S, as bit positions into a label sequence. A copy is S plus any
-# s-set of them (s = r), except in _link_masks, where S starts with (v,) and the
-# copy adds an (r-1)-set to v's part; it recurses through _unordered_copies one
-# uniformity down to _graph_masks. _matching_masks has the same shape for
+# s-set of them (s = r but for the oriented oracle patterns), except in
+# _link_masks, where S starts with (v,) and the copy adds an (r-1)-set to v's
+# part. _link_masks recurses one uniformity down, and _partite_masks one part
+# down, until both reach _graph_masks. _matching_masks has the same shape for
 # matchings: S is an (r-1)-matching and the mask holds the edges that extend it.
 # It feeds enumerate_matchings; count_matchings stops one level earlier and
 # counts the disjoint pairs in each mask in closed form.
@@ -78,17 +81,19 @@ def pattern_exponent(r: int, k: int) -> int:
 _Masks = Iterable[tuple[tuple, int]]
 
 
-def _graph_masks(edges: Iterable[Edge], r: int) -> tuple[_Masks, list[int]]:
-    """Unordered graphs: each vertex r-set A with at least r common neighbours above min(A).
+def _graph_masks(edges: Iterable[Edge], r: int, s: int, key: Callable | None = None) -> tuple[_Masks, list[int]]:
+    """Graphs: each vertex r-set A with at least s common neighbours ranked above min(A).
 
-    Restricting B to vertices above min(A) is what makes each unordered copy
-    appear exactly once. A and its common neighbours induce a subgraph of
-    minimum degree r, so the scan runs on the r-core, relabelled in increasing
-    order to dense positions: the masks are over those positions, and the
-    returned labels are the core's vertices. The rest of A is drawn from the
-    b > min(A) that close at least r wedges min(A)-w-b with w above min(A), so
-    the cost follows the core's wedges, not C(n, r). The pairs come in
-    lexicographic order of A, as a scan of all vertex r-sets would give them.
+    Vertices rank by key, or by label if key is None. Unordered copies take
+    s = r and label order, so each appears once. An anchored host ranks its
+    first part first, so A runs over that part's r-sets alone. A and its common
+    neighbours induce a subgraph of minimum degree r (as s >= r), so the scan
+    runs on the r-core, relabelled in rank order to dense positions: the masks
+    are over those positions, and the returned labels are the core's vertices.
+    The rest of A is drawn from the b above min(A) that close at least s wedges
+    min(A)-w-b with w above min(A), so the cost follows the core's wedges, not
+    C(n, r). The pairs come in lexicographic order of A's ranks, as a scan of
+    all vertex r-sets would give them.
     """
     nbrs: dict[int, set[int]] = {}
     for a, b in edges:
@@ -101,7 +106,7 @@ def _graph_masks(edges: Iterable[Edge], r: int) -> tuple[_Masks, list[int]]:
             nbrs[w].discard(v)
             if len(nbrs[w]) == r - 1:
                 low.append(w)
-    labels = sorted(nbrs)
+    labels = sorted(nbrs, key=key)
     pos = {v: i for i, v in enumerate(labels)}
     adj = [sorted(pos[w] for w in nbrs[v]) for v in labels]
 
@@ -116,12 +121,12 @@ def _graph_masks(edges: Iterable[Edge], r: int) -> tuple[_Masks, list[int]]:
         for a0 in range(len(labels)):
             ahead.pop(a0, None)
             up = above(a0, a0)
-            if len(up) < r:
+            if len(up) < s:
                 continue
             wedges: Counter[int] = Counter()
             for w in up:
                 wedges.update(above(w, a0))
-            candidates = sorted(b for b, c in wedges.items() if c >= r)
+            candidates = sorted(b for b, c in wedges.items() if c >= s)
             if len(candidates) < r - 1:
                 continue
             for b in candidates:
@@ -132,7 +137,7 @@ def _graph_masks(edges: Iterable[Edge], r: int) -> tuple[_Masks, list[int]]:
                 common = up_mask
                 for b in rest:
                     common &= ahead[b]
-                if common.bit_count() >= r:
+                if common.bit_count() >= s:
                     yield (tuple(labels[v] for v in (a0, *rest)),), common
 
     return scan(), labels
@@ -140,29 +145,37 @@ def _graph_masks(edges: Iterable[Edge], r: int) -> tuple[_Masks, list[int]]:
 
 def _partite_masks(
     edges: Iterable[Edge], parts: Sequence[Sequence[int]], r: int, s: int
-) -> _Masks:
+) -> tuple[_Masks, list[int]]:
     """Anchored: each choice S of r-sets in every part but the last with at least s completions.
 
-    Every edge must meet each part once. The mask is over positions in the last part.
+    Every edge must meet each part once. Two parts are the graph kernel, the
+    first part ranked first. For k >= 3, S's transversals each have s or more
+    completions in the last part, so S is an anchored copy of that prefix graph,
+    found one part down, and its mask ANDs their completer masks, as in
+    _link_masks. S comes in lexicographic order, as a product scan gives it.
     """
-    pmap = {v: i for i, part in enumerate(parts) for v in part}
-    pos = {v: i for i, v in enumerate(parts[-1])}
-    k = len(parts)
-    prefix_masks: dict[tuple[int, ...], int] = {}
-    for e in edges:
-        ordered = [0] * k
-        for v in e:
-            ordered[pmap[v]] = v
-        prefix = tuple(ordered[:-1])
-        prefix_masks[prefix] = prefix_masks.get(prefix, 0) | (1 << pos[ordered[-1]])
-    for S in product(*(combinations(part, r) for part in parts[:-1])):
-        common = -1
-        for prefix in product(*S):
-            common &= prefix_masks.get(prefix, 0)
-            if not common:
-                break
-        if common.bit_count() >= s:
-            yield S, common
+    index = {v: i for i, part in enumerate(parts) for v in part}
+    if len(parts) == 2:
+        return _graph_masks(edges, r, s, key=lambda v: (index[v], v))
+    ordered = [tuple(sorted(e, key=index.__getitem__)) for e in edges]
+    labels = sorted({e[-1] for e in ordered})
+    pos = {v: i for i, v in enumerate(labels)}
+    completers: dict[Edge, int] = {}
+    for e in ordered:
+        completers[e[:-1]] = completers.get(e[:-1], 0) | 1 << pos[e[-1]]
+    prefix = [t for t, mask in completers.items() if mask.bit_count() >= s]
+
+    def scan() -> _Masks:
+        masks, prefix_labels = _partite_masks(prefix, parts[:-1], r, r)
+        for S, mask in masks:
+            for A in combinations(_members(mask, prefix_labels), r):
+                common = -1
+                for t in product(*S, A):
+                    common &= completers[t]
+                if common.bit_count() >= s:
+                    yield (*S, A), common
+
+    return scan(), labels
 
 
 def _link_masks(edges: Collection[Edge], k: int, r: int) -> tuple[_Masks, list[int]]:
@@ -231,7 +244,7 @@ def _completions(masks: _Masks, s: int, labels: Sequence[int]) -> Iterator[Patte
 def _unordered_copies(edges: Collection[Edge], k: int, r: int) -> Iterator[tuple[tuple[int, ...], ...]]:
     """Unordered copies in a k-graph, k >= 2, as parts sorted by minimum, by increasing least vertex."""
     if k == 2:
-        masks, labels = _graph_masks(edges, r)
+        masks, labels = _graph_masks(edges, r, r)
         return (copy.parts for copy in _completions(masks, r, labels))
     masks, labels = _link_masks(edges, k, r)
     return (
@@ -388,12 +401,11 @@ def _copy_masks(g: Hypergraph, r: int, spec: PartitionSpec | None) -> tuple[_Mas
     """The mask loop for the anchored, k = 1 and unordered-graph paths, and its labels."""
     if spec is not None:
         require_partite(g, spec)
-        parts = spec.parts
-    elif g.k == 1:
-        parts = (tuple(range(g.n)),)
-    else:
-        return _graph_masks(g.edges, r)
-    return _partite_masks(g.edges, parts, r, r), parts[-1]
+    if g.k == 1:
+        return [((), (1 << g.m) - 1)], [v for (v,) in g.sorted_edges()]
+    if spec is None:
+        return _graph_masks(g.edges, r, r)
+    return _partite_masks(g.edges, spec.parts, r, r)
 
 
 def enumerate_copies(
@@ -405,8 +417,6 @@ def enumerate_copies(
     """
     if r < 1:
         raise ValueError("pattern side r must be >= 1")
-    if r * g.k > g.n:
-        return iter(())
     if spec is None and g.k >= 3:
         # Each least vertex's copies are sorted on their own, so the iterator
         # stays lazy from one least vertex to the next.
@@ -420,8 +430,6 @@ def count_copies(g: Hypergraph, r: int, spec: PartitionSpec | None = None) -> in
     """Number of copies of the side-r pattern, equal to the enumeration's length."""
     if r < 1:
         raise ValueError("pattern side r must be >= 1")
-    if r * g.k > g.n:
-        return 0
     if spec is None and g.k >= 3:
         return _count(_link_masks(g.edges, g.k, r)[0], r - 1)
     return _count(_copy_masks(g, r, spec)[0], r)

@@ -132,7 +132,7 @@ def shuffled_partite_corpus(count: int, seed: int = 1717) -> list[tuple[Hypergra
     and part order agree; here they do not.
     """
     rng = random.Random(seed)
-    shapes = [(3, 4), (4, 3), (5, 5), (2, 2, 3), (3, 2, 3), (3, 3, 3), (2, 2, 2, 2), (3, 2, 3, 2)]
+    shapes = [(3, 4), (4, 3), (5, 5), (2, 2, 3), (3, 2, 3), (2, 3, 5), (3, 3, 3), (2, 2, 2, 2), (3, 2, 2, 4)]
     out = []
     while len(out) < count:
         g, spec = partite_host(rng.choice(shapes), rng.random(), rng)

@@ -139,6 +139,16 @@ class TestCount:
         )
         assert code == EXIT_USAGE
 
+    @pytest.mark.parametrize("command", ["count", "extract"])
+    def test_parts_with_construct_rejected(self, capsys, command):
+        code, out, err = run_cli(
+            capsys, command, "--construct", "--k", "2", "--r", "2", "--n", "3",
+            "--parts", "/nonexistent/parts.txt",
+        )
+        assert code == EXIT_USAGE
+        assert out == ""
+        assert "--parts" in err
+
 
 class TestExtract:
     def test_stdout_line(self, capsys):

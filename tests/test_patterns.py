@@ -33,7 +33,7 @@ from krsfree import (
     summary_to_json,
 )
 from krsfree.oracle import iter_pattern_copies
-from krsfree.patterns import _copy_masks
+from krsfree.patterns import _copy_masks, _members, _partite_masks
 
 from bruteforce import (
     brute_copies_unordered,
@@ -236,6 +236,17 @@ class TestPartiteKernel:
                 assert self._kernel_pairs(g, r, spec) == brute_partite_masks(g, spec.parts, r, r)
         assert ks == {2, 3, 4}
 
+    def test_thresholds_and_orientations_match_referee(self):
+        # The oriented oracle patterns ask for s > r and may reverse the parts.
+        for g, spec in self.HOSTS:
+            for parts in (spec.parts, spec.parts[::-1]):
+                for r in (1, 2, 3):
+                    for s in (r, r + 1, r + 2):
+                        masks, labels = _partite_masks(g.edges, parts, r, s)
+                        assert [(S, tuple(_members(mask, labels))) for S, mask in masks] == (
+                            brute_partite_masks(g, parts, r, s)
+                        )
+
     def test_oriented_patterns_match_referee(self):
         def expected(g, parts, r, s):
             return [S + (B,) for S, C in brute_partite_masks(g, parts, r, s) for B in combinations(C, s)]
@@ -251,6 +262,31 @@ class TestPartiteKernel:
                     either = iter_pattern_copies(g, PatternSpec.krs_either(r, s), spec)
                     assert [c.parts for c in oriented] == forward
                     assert [c.parts for c in either] == forward + backward
+
+    @pytest.mark.parametrize("sizes,m", [((2000, 2000), 3999), ((90, 90, 90), 450)])
+    def test_sparse_hosts_count_fast(self, sizes, m):
+        # Scanning every r-set tuple of the first parts took 2.7 s and 8.3 s here.
+        g, spec = sparse_partite_host(sizes, m, seed=12)
+        start = time.perf_counter()
+        anchored = count_copies(g, 2, spec)
+        assert time.perf_counter() - start < 0.1
+        # In a partite host every copy's parts lie in distinct host parts.
+        assert anchored == count_copies(g, 2)
+
+    def test_dense_tight_host(self):
+        g, spec, _ = build_construction(30, 2, 2)
+        start = time.perf_counter()
+        assert count_copies(g, 2, spec) == comb(30, 2) * comb(900, 2)
+        assert time.perf_counter() - start < 0.5
+
+    def test_oversized_pattern_still_checks_the_partition(self):
+        g = Hypergraph.from_edges(2, 6, [(0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (4, 5)])
+        bad = PartitionSpec(((0, 1, 4), (2, 3, 5)))
+        for r in (2, 4):
+            with pytest.raises(ValueError, match="not partite"):
+                count_copies(g, r, bad)
+            with pytest.raises(ValueError, match="not partite"):
+                list(enumerate_copies(g, r, bad))
 
 
 class TestKGraphCopies:
