@@ -398,7 +398,7 @@ def extensions_of_matching(
 
 
 def _copy_masks(g: Hypergraph, r: int, spec: PartitionSpec | None) -> tuple[_Masks, Sequence[int]]:
-    """The mask loop for the anchored, k = 1 and unordered-graph paths, and its labels."""
+    """The mask loop for the anchored, k = 1 and unordered-graph paths, and its labels; checks the partition."""
     if spec is not None:
         require_partite(g, spec)
     if g.k == 1:

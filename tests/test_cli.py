@@ -140,10 +140,10 @@ class TestCount:
         assert code == EXIT_USAGE
 
     @pytest.mark.parametrize("command", ["count", "extract"])
-    def test_parts_with_construct_rejected(self, capsys, command):
+    def test_parts_with_construct_rejected(self, capsys, tmp_path, command):
         code, out, err = run_cli(
             capsys, command, "--construct", "--k", "2", "--r", "2", "--n", "3",
-            "--parts", "/nonexistent/parts.txt",
+            "--parts", str(tmp_path / "missing.txt"),
         )
         assert code == EXIT_USAGE
         assert out == ""
