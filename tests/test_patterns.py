@@ -273,6 +273,14 @@ class TestPartiteKernel:
         assert count_copies(g, 2, spec) == comb(30, 2) * comb(900, 2)
         assert time.perf_counter() - start < 0.5
 
+    def test_one_uniform_copies_are_r_sets_of_edges(self):
+        g = Hypergraph.from_edges(1, 6, [(0,), (2,), (3,), (5,)])
+        for spec in (None, PartitionSpec((tuple(range(6)),))):
+            for r in range(1, 6):
+                expected = [(A,) for A in combinations((0, 2, 3, 5), r)]
+                assert [c.parts for c in enumerate_copies(g, r, spec)] == expected
+                assert count_copies(g, r, spec) == len(expected)
+
     def test_oversized_pattern_still_checks_the_partition(self):
         g = Hypergraph.from_edges(2, 6, [(0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (4, 5)])
         bad = PartitionSpec(((0, 1, 4), (2, 3, 5)))
