@@ -183,21 +183,21 @@ def extract_free_subgraph(
                 for e in copies[j]:
                     live[e] -= 1
 
-    final_edges = frozenset(sample.edges - deleted)
-    free = count_copies(Hypergraph(g.k, g.n, final_edges), r, spec) == 0
+    final = EdgeSubset(g, sample.edges - deleted)
+    free = count_copies(final.as_hypergraph(), r, spec) == 0
     report = DeletionRunReport(
         seed=seed,
         p=p_used,
         edges_sampled=sample.m,
         copies_found=len(copies),
         edges_deleted=len(deleted),
-        final_size=len(final_edges),
+        final_size=final.m,
         freeness_verified=free,
         generator=GENERATOR_ID,
         policy=edge_choice,
         vacuous_regime=m < 2**q,
     )
-    return EdgeSubset(g, final_edges), report
+    return final, report
 
 
 def run_trials(

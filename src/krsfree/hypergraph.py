@@ -8,9 +8,10 @@ functions that need randomness take an integer seed and use a named generator
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import product
+from itertools import chain, islice, product
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -34,13 +35,25 @@ class Hypergraph:
             raise ValueError("uniformity k must be >= 1")
         if self.n < 0:
             raise ValueError("vertex count n must be >= 0")
-        for e in self.edges:
-            if len(e) != self.k or len(set(e)) != self.k:
-                raise ValueError(f"edge {e!r} must have exactly {self.k} distinct vertices")
-            if tuple(sorted(e)) != e:
-                raise ValueError(f"edge {e!r} is not sorted")
-            if e[0] < 0 or e[-1] >= self.n:
-                raise ValueError(f"edge {e!r} has vertices outside [0, {self.n})")
+        # One numpy pass names the first bad edge; the array is not kept, as a copy would double memory.
+        k, n, edges = self.k, self.n, self.edges
+        if operator.countOf(map(len, edges), k) != len(edges):
+            raise _edge_error(next(e for e in edges if len(e) != k), k, n)
+        try:
+            a = _edge_array(edges, k)
+        except OverflowError:  # vertex labels are int64
+            huge = next(e for e in edges if not all(-(2**63) <= v < 2**63 for v in e))
+            raise _edge_error(huge, k, n) from None
+        bad = (a[:, 1:] <= a[:, :-1]).any(axis=1) | (a[:, 0] < 0) | (a[:, -1] >= n)
+        if bad.any():
+            raise _edge_error(next(islice(edges, int(bad.argmax()), None)), k, n)
+
+    @classmethod
+    def _unchecked(cls, k: int, n: int, edges: frozenset[Edge]) -> "Hypergraph":
+        """Build without validation, for a subset of an already valid host's edges."""
+        g = object.__new__(cls)
+        vars(g).update(k=k, n=n, edges=edges)
+        return g
 
     @classmethod
     def from_edges(cls, k: int, n: int, edges: Iterable[Iterable[int]]) -> "Hypergraph":
@@ -61,6 +74,21 @@ class Hypergraph:
     def sorted_edges(self) -> list[Edge]:
         """The edges in lexicographic order, as a fresh list the caller may mutate."""
         return list(self._sorted_order)
+
+
+def _edge_array(edges: frozenset[Edge], k: int) -> np.ndarray:
+    """The edges as an (m, k) int64 array in iteration order; a non-integer vertex raises TypeError."""
+    vertices = map(operator.index, chain.from_iterable(edges))
+    return np.fromiter(vertices, np.int64, len(edges) * k).reshape(len(edges), k)
+
+
+def _edge_error(e: Edge, k: int, n: int) -> ValueError:
+    """The error for an edge the vectorized check flagged, naming the edge."""
+    if len(e) != k or len(set(e)) != k:
+        return ValueError(f"edge {e!r} must have exactly {k} distinct vertices")
+    if tuple(sorted(e)) != e:
+        return ValueError(f"edge {e!r} is not sorted")
+    return ValueError(f"edge {e!r} has vertices outside [0, {n})")
 
 
 @dataclass(frozen=True)
@@ -90,6 +118,14 @@ class PartitionSpec:
         """Map each vertex to the index of the part containing it."""
         return {v: i for i, part in enumerate(self.parts) for v in part}
 
+    @cached_property
+    def _labels(self) -> np.ndarray:
+        # Part index of each vertex; is_partite first checks the parts cover [0, total).
+        labels = np.empty(sum(map(len, self.parts)), np.int64)
+        for i, part in enumerate(self.parts):
+            labels[list(part)] = i
+        return labels
+
 
 @dataclass(frozen=True)
 class EdgeSubset:
@@ -108,7 +144,8 @@ class EdgeSubset:
 
     def as_hypergraph(self) -> Hypergraph:
         """The subset as a standalone hypergraph on the host's vertex set."""
-        return Hypergraph(self.host.k, self.host.n, self.edges)
+        # The host is valid and __post_init__ checked edges <= host.edges.
+        return Hypergraph._unchecked(self.host.k, self.host.n, self.edges)
 
 
 def is_partite(g: Hypergraph, spec: PartitionSpec) -> bool:
@@ -121,8 +158,8 @@ def is_partite(g: Hypergraph, spec: PartitionSpec) -> bool:
         return False
     if any(part and (part[0] < 0 or part[-1] >= g.n) for part in spec.parts):
         return False
-    pmap = spec.part_index()
-    return all(len({pmap[v] for v in e}) == g.k for e in g.edges)
+    rows = np.sort(spec._labels[_edge_array(g.edges, g.k)], axis=1)
+    return bool((rows == np.arange(g.k)).all())
 
 
 def require_partite(g: Hypergraph, spec: PartitionSpec) -> None:

@@ -83,6 +83,21 @@ def brute_copies_oriented(g: Hypergraph, U, W, r: int, s: int) -> list[tuple[tup
     return found
 
 
+def brute_validate(k: int, n: int, edges) -> None:
+    """The per-edge construction check: raise ValueError naming the first bad edge in iteration order."""
+    if k < 1:
+        raise ValueError("uniformity k must be >= 1")
+    if n < 0:
+        raise ValueError("vertex count n must be >= 0")
+    for e in edges:
+        if len(e) != k or len(set(e)) != k:
+            raise ValueError(f"edge {e!r} must have exactly {k} distinct vertices")
+        if tuple(sorted(e)) != e:
+            raise ValueError(f"edge {e!r} is not sorted")
+        if e[0] < 0 or e[-1] >= n:
+            raise ValueError(f"edge {e!r} has vertices outside [0, {n})")
+
+
 def brute_is_partite(g: Hypergraph, spec: PartitionSpec) -> bool:
     """spec has g.k parts whose vertices are exactly [0, n), and every edge meets each part once."""
     if spec.k != g.k:

@@ -148,6 +148,22 @@ class TestExtract:
         assert rep.freeness_verified
         assert count_copies(sub.as_hypergraph(), 2, spec) == 0
 
+    @pytest.mark.parametrize("anchored", [False, True])
+    @pytest.mark.parametrize("policy", EDGE_CHOICE_POLICIES)
+    def test_trial_validates_no_hypergraph(self, monkeypatch, anchored, policy):
+        """Samples and the final subgraph are subsets of a valid host: a trial
+        builds no Hypergraph through the validator."""
+        g, spec, _ = build_construction(30, 2, 2)
+        calls = []
+        validate = Hypergraph.__post_init__
+        monkeypatch.setattr(Hypergraph, "__post_init__", lambda h: calls.append(h) or validate(h))
+        final, report = extract_free_subgraph(g, 2, 11, spec if anchored else None, policy)
+        assert calls == []
+        assert report.freeness_verified and report.copies_found > 0
+        assert final.host is g and final.m == report.final_size
+        monkeypatch.undo()
+        assert final.as_hypergraph() == Hypergraph(g.k, g.n, final.edges)
+
     def test_vacuous_flag(self):
         g, _ = complete_bipartite(2, 2)  # m = 4 < 2^3
         _, rep = extract_free_subgraph(g, 2, seed=0)

@@ -5,8 +5,10 @@ from __future__ import annotations
 import hashlib
 import math
 import random
+import tracemalloc
 import types
 
+import numpy as np
 import pytest
 
 import krsfree
@@ -29,8 +31,23 @@ from krsfree import (
     run_trials,
 )
 
-from bruteforce import brute_is_partite
-from corpus import graph_corpus, kgraph_corpus, partite_corpus_small, random_graph
+from bruteforce import brute_is_partite, brute_validate
+from corpus import (
+    graph_corpus,
+    kgraph_corpus,
+    partite_corpus_small,
+    random_graph,
+    shuffled_partite_corpus,
+)
+
+
+def _rejection(fn, *args) -> str | None:
+    """The ValueError message fn(*args) raises, or None if it returns."""
+    try:
+        fn(*args)
+    except ValueError as exc:
+        return str(exc)
+    return None
 
 
 class TestHypergraph:
@@ -52,6 +69,77 @@ class TestHypergraph:
     def test_empty_graph_allowed(self):
         g = Hypergraph(2, 0, frozenset())
         assert g.m == 0 and g.n == 0
+
+
+class TestValidation:
+    """The numpy validator against the per-edge referee: same verdict, same message."""
+
+    CASES = [
+        # (name, k, n, edges, message family or None when valid)
+        ("empty", 2, 5, frozenset(), None),
+        ("empty, n = 0", 3, 0, frozenset(), None),
+        ("k = 1", 1, 3, frozenset({(0,), (2,)}), None),
+        ("k = 1, vertex = n", 1, 3, frozenset({(0,), (3,)}), "outside"),
+        ("valid 3-graph", 3, 5, frozenset({(0, 1, 4), (1, 2, 3), (0, 3, 4)}), None),
+        ("wrong length", 2, 4, frozenset({(0, 1), (0, 1, 2)}), "distinct"),
+        ("mixed lengths, total m*k", 2, 4, frozenset({(0,), (0, 1, 2)}), "distinct"),
+        ("repeated vertex", 3, 4, frozenset({(0, 1, 2), (1, 1, 3)}), "distinct"),
+        ("repeated and unsorted", 3, 4, frozenset({(1, 0, 1)}), "distinct"),
+        ("unsorted", 3, 4, frozenset({(0, 1, 2), (0, 3, 1)}), "not sorted"),
+        ("negative vertex", 2, 3, frozenset({(0, 1), (-1, 2)}), "outside"),
+        ("vertex = n", 2, 3, frozenset({(0, 1), (1, 3)}), "outside"),
+        ("vertex beyond 2^63", 2, 3, frozenset({(0, 1), (0, 2**63 + 5)}), "outside"),
+        ("vertex below -2^63", 2, 3, frozenset({(-(2**64), 1)}), "outside"),
+        ("unsorted, beyond 2^63", 2, 3, frozenset({(2**64, 0)}), "not sorted"),
+    ]
+
+    @pytest.mark.parametrize("name,k,n,edges,family", CASES, ids=[c[0] for c in CASES])
+    def test_matches_referee(self, name, k, n, edges, family):
+        expected = _rejection(brute_validate, k, n, edges)
+        assert _rejection(Hypergraph, k, n, edges) == expected
+        if family is None:
+            assert expected is None
+        else:
+            assert family in expected
+
+    @pytest.mark.parametrize("edge", [(0.0, 1.0), (0.2, 0.7), ("0", "1")], ids=repr)
+    def test_non_integer_vertices_raise(self, edge):
+        with pytest.raises(TypeError, match="integer"):
+            Hypergraph(2, 3, frozenset({(0, 2), edge}))
+
+    def test_one_bad_edge_in_random_hosts(self):
+        rng = random.Random(1313)
+        hosts = graph_corpus(40, max_n=8, seed=71) + kgraph_corpus(20, seed=72)
+        faults = {
+            "distinct": lambda e, n: (e[0],) + e[:-1],
+            "short": lambda e, n: e[:-1],
+            "long": lambda e, n: e + (n + 7,),
+            "not sorted": lambda e, n: e[::-1],
+            "negative": lambda e, n: (-1,) + e[1:],
+            "n": lambda e, n: e[:-1] + (n,),
+            "huge": lambda e, n: e[:-1] + (2**63 + rng.randrange(10),),
+        }
+        for g in hosts:
+            assert _rejection(Hypergraph, g.k, g.n, g.edges) is None
+            if not g.edges:
+                continue
+            for name, fault in faults.items():
+                victim = rng.choice(g.sorted_edges())
+                edges = (g.edges - {victim}) | {fault(victim, g.n)}
+                expected = _rejection(brute_validate, g.k, g.n, edges)
+                assert expected is not None, (name, g)
+                assert _rejection(Hypergraph, g.k, g.n, edges) == expected, (name, g)
+
+    def test_host_keeps_no_array_and_validates_in_linear_memory(self):
+        g, _, _ = build_construction(30, 2, 2)
+        tracemalloc.start()
+        try:
+            h = Hypergraph(g.k, g.n, g.edges)
+            _current, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert not any(isinstance(v, np.ndarray) for v in vars(h).values())
+        assert peak < 4 * g.m * g.k * 8
 
 
 class TestPartition:
@@ -124,6 +212,31 @@ class TestPartition:
         assert brute_is_partite(g, spec) is partite
         assert is_partite(g, spec) is partite
 
+    def test_interleaved_parts_and_one_stray_edge(self):
+        """Partite hosts, with parts in label order and interleaved, then with one
+        edge moved so that it misses a part."""
+        rng = random.Random(2024)
+        cases = partite_corpus_small(40, seed=34) + shuffled_partite_corpus(40, seed=35)
+        stray_count = 0
+        for g, spec in cases:
+            assert is_partite(g, spec) and brute_is_partite(g, spec)
+            if not g.edges:
+                continue
+            # Replace e[j] by another vertex of e[i]'s part: the edge then has
+            # two vertices in that part and misses e[j]'s.
+            e = rng.choice(g.sorted_edges())
+            i, j = rng.sample(range(g.k), 2)
+            part_of = spec.part_index()
+            twin = [v for v in spec.parts[part_of[e[i]]] if v not in e]
+            if not twin:
+                continue
+            stray = tuple(sorted(e[:j] + (rng.choice(twin),) + e[j + 1 :]))
+            h = Hypergraph(g.k, g.n, (g.edges - {e}) | {stray})
+            assert not brute_is_partite(h, spec)
+            assert not is_partite(h, spec)
+            stray_count += 1
+        assert stray_count >= 40
+
 
 class TestBuilders:
     def test_complete_bipartite_counts(self):
@@ -188,6 +301,18 @@ class TestEdgeSubset:
         sub = EdgeSubset(g, frozenset({(0, 2)}))
         h = sub.as_hypergraph()
         assert h.n == g.n and h.m == 1
+
+    def test_unvalidated_sample_equals_validated(self):
+        g, _, _ = build_construction(30, 2, 2)
+        for seed in range(5):
+            sample = bernoulli_edge_sample(g, 0.01, seed)
+            h = sample.as_hypergraph()
+            validated = Hypergraph(g.k, g.n, sample.edges)
+            assert h == validated and hash(h) == hash(validated)
+            assert repr(h) == repr(validated)
+            assert h.sorted_edges() == validated.sorted_edges()
+            with pytest.raises(ValueError, match="not present"):
+                EdgeSubset(g, sample.edges | {(0, 1)})
 
 
 class TestLink:
