@@ -150,20 +150,28 @@ class EdgeSubset:
 
 def is_partite(g: Hypergraph, spec: PartitionSpec) -> bool:
     """True iff spec has g.k parts covering [0, n) and every edge meets each part once."""
-    if spec.k != g.k:
+    return _is_partite(_edge_array(g.edges, g.k), g.n, spec)
+
+
+def _is_partite(a: np.ndarray, n: int, spec: PartitionSpec) -> bool:
+    if spec.k != a.shape[1]:
         return False
     # Parts are sorted and pairwise disjoint, so they cover [0, n) exactly
     # when their sizes sum to n and each lies within [0, n).
-    if sum(map(len, spec.parts)) != g.n:
+    if sum(map(len, spec.parts)) != n:
         return False
-    if any(part and (part[0] < 0 or part[-1] >= g.n) for part in spec.parts):
+    if any(part and (part[0] < 0 or part[-1] >= n) for part in spec.parts):
         return False
-    rows = np.sort(spec._labels[_edge_array(g.edges, g.k)], axis=1)
-    return bool((rows == np.arange(g.k)).all())
+    rows = np.sort(spec._labels[a], axis=1)
+    return bool((rows == np.arange(spec.k)).all())
 
 
 def require_partite(g: Hypergraph, spec: PartitionSpec) -> None:
-    if not is_partite(g, spec):
+    _require_partite(_edge_array(g.edges, g.k), g.n, spec)
+
+
+def _require_partite(a: np.ndarray, n: int, spec: PartitionSpec) -> None:
+    if not _is_partite(a, n, spec):
         raise ValueError("hypergraph is not partite with respect to the given partition")
 
 

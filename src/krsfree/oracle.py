@@ -53,7 +53,7 @@ from typing import Callable, Iterator, Sequence
 import numpy as np
 
 from .deletion import run_trials
-from .hypergraph import EdgeSubset, Hypergraph, PartitionSpec, require_partite
+from .hypergraph import EdgeSubset, Hypergraph, PartitionSpec, _edge_array, _require_partite
 from .patterns import (
     PatternCopy,
     _completions,
@@ -122,13 +122,13 @@ def iter_pattern_copies(
         raise ValueError("biclique patterns need a graph host")
     if spec is None or spec.k != 2:
         raise ValueError("oriented biclique patterns need a bipartition of the host")
-    require_partite(g, spec)
+    a = _edge_array(g.edges, 2)
+    _require_partite(a, g.n, spec)
     assert pattern.s is not None
-    orientations = [spec.parts]
-    if pattern.kind == KIND_KRS_EITHER:
-        orientations.append(spec.parts[::-1])
-    for parts in orientations:
-        masks, labels = _partite_masks(g.edges, parts, pattern.r, pattern.s)
+    # Each vertex's part position; 1 - rank swaps the two parts.
+    ranks = [spec._labels, 1 - spec._labels] if pattern.kind == KIND_KRS_EITHER else [spec._labels]
+    for rank in ranks:
+        masks, labels = _partite_masks(a, rank, pattern.r, pattern.s)
         yield from _completions(masks, pattern.s, labels)
 
 

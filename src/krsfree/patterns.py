@@ -26,11 +26,13 @@ from __future__ import annotations
 from bisect import bisect_right
 from collections import Counter
 from dataclasses import dataclass
-from itertools import combinations, groupby, permutations, product
+from itertools import chain, combinations, groupby, permutations, product
 from math import comb, factorial
-from typing import Callable, Collection, Iterable, Iterator, Sequence
+from typing import Collection, Iterable, Iterator, Sequence
 
-from .hypergraph import Edge, Hypergraph, PartitionSpec, require_partite
+import numpy as np
+
+from .hypergraph import Edge, Hypergraph, PartitionSpec, _edge_array, _require_partite, require_partite
 
 
 @dataclass(frozen=True)
@@ -73,100 +75,145 @@ def pattern_exponent(r: int, k: int) -> int:
 # s-set of them (s = r but for the oriented oracle patterns), except in
 # _link_masks, where S starts with (v,) and the copy adds an (r-1)-set to v's
 # part. _link_masks recurses one uniformity down, and _partite_masks one part
-# down, until both reach _graph_masks. _matching_masks has the same shape for
-# matchings: S is an (r-1)-matching and the mask holds the edges that extend it.
-# It feeds enumerate_matchings; count_matchings stops one level earlier and
-# counts the disjoint pairs in each mask in closed form.
+# down, until both reach the wedge scan on graphs. Each call reads its edges as
+# one (m, k) int64 array, and all set-up before a scan is numpy over it.
+# _matching_masks has the same shape for matchings: S is an (r-1)-matching and
+# the mask holds the edges that extend it. It feeds enumerate_matchings;
+# count_matchings stops one level earlier and counts the disjoint pairs in each
+# mask in closed form.
 
 _Masks = Iterable[tuple[tuple, int]]
 
 
-def _graph_masks(edges: Iterable[Edge], r: int, s: int, key: Callable | None = None) -> tuple[_Masks, list[int]]:
+def _relabel(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The distinct entries of a, sorted, and each entry's position among them; no array is sized by a value."""
+    order = a.ravel().argsort()
+    ordered = a.ravel()[order]
+    new = np.empty(len(ordered), bool)
+    new[:1] = True
+    np.not_equal(ordered[1:], ordered[:-1], out=new[1:])
+    ids = np.empty(a.shape, np.int64)
+    ids.ravel()[order] = new.cumsum() - 1
+    return ordered[new], ids
+
+
+def _r_core(a: np.ndarray, r: int, rank: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The r-core of the graph with edge rows a: its vertices, and their neighbours by position (see _csr).
+
+    The vertices are ordered by rank[v], then by label. Numpy rounds drop the
+    edges with an endpoint of degree below r while a round drops a quarter of
+    the edges left; a queue finishes, so a long path stays linear.
+    """
+    vertices, e = _relabel(a)
+    while True:
+        deg = np.bincount(e.ravel(), minlength=len(vertices))
+        keep = np.minimum(deg[e[:, 0]], deg[e[:, 1]]) >= r
+        dropped = len(e) - np.count_nonzero(keep)
+        if not dropped:
+            break
+        e = e[keep]
+        if 4 * dropped < len(e) + dropped:
+            e = _peel(e, r, len(vertices))
+    core = deg.nonzero()[0]
+    if rank is not None:
+        core = core[rank[vertices[core]].argsort(kind="stable")]
+    pos = np.empty(len(vertices), np.int64)
+    pos[core] = np.arange(len(core))
+    return (vertices[core], *_csr(pos[e], len(core)))
+
+
+def _peel(e: np.ndarray, r: int, n: int) -> np.ndarray:
+    """The edges of the r-core of the edges e on vertices 0 .. n-1, peeled one vertex at a time."""
+    nbrs, cuts = (x.tolist() for x in _csr(e, n))
+    deg = [j - i for i, j in zip(cuts, cuts[1:])]
+    low = [v for v, d in enumerate(deg) if 0 < d < r]
+    while low:
+        v = low.pop()
+        for w in nbrs[cuts[v]:cuts[v + 1]]:
+            deg[w] -= 1
+            if deg[w] == r - 1:
+                low.append(w)
+    alive = np.array(deg) >= r
+    return e[alive[e[:, 0]] & alive[e[:, 1]]]
+
+
+def _csr(e: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Neighbours of vertices 0 .. n-1 over the edges e, sorted by key src * n + dst, and where each run starts."""
+    key = np.concatenate((e[:, 0] * n + e[:, 1], e[:, 1] * n + e[:, 0]))
+    key.sort()
+    return key % n, key.searchsorted(np.arange(n + 1) * n)
+
+
+def _graph_masks(a: np.ndarray, r: int, s: int, rank: np.ndarray | None = None) -> tuple[_Masks, list[int]]:
     """Graphs: each vertex r-set A with at least s common neighbours ranked above min(A).
 
-    Vertices rank by key, or by label if key is None. Unordered copies take
-    s = r and label order, so each appears once. An anchored host ranks its
-    first part first, so A runs over that part's r-sets alone. A and its common
-    neighbours induce a subgraph of minimum degree r (as s >= r), so the scan
-    runs on the r-core, relabelled in rank order to dense positions: the masks
-    are over those positions, and the returned labels are the core's vertices.
+    a holds the edges as rows. Vertices rank by rank[v], the position of v's
+    part, then by label. Unordered copies take s = r and label order, so each
+    appears once. An anchored host ranks its first part first, so A runs over
+    that part's r-sets alone. A and its common neighbours induce a subgraph of
+    minimum degree r (as s >= r), so the scan runs on the r-core, in rank order:
+    the masks are over positions into the returned labels, the core's vertices.
     The rest of A is drawn from the b above min(A) that close at least s wedges
     min(A)-w-b with w above min(A), so the cost follows the core's wedges, not
     C(n, r). The pairs come in lexicographic order of A's ranks, as a scan of
     all vertex r-sets would give them.
     """
-    nbrs: dict[int, set[int]] = {}
-    for a, b in edges:
-        nbrs.setdefault(a, set()).add(b)
-        nbrs.setdefault(b, set()).add(a)
-    low = [v for v, vs in nbrs.items() if len(vs) < r]
-    while low:
-        v = low.pop()
-        for w in nbrs.pop(v):
-            nbrs[w].discard(v)
-            if len(nbrs[w]) == r - 1:
-                low.append(w)
-    labels = sorted(nbrs, key=key)
-    pos = {v: i for i, v in enumerate(labels)}
-    adj = [sorted(pos[w] for w in nbrs[v]) for v in labels]
+    labels, nbrs, cuts = (x.tolist() for x in _r_core(a, r, rank))
+    return _wedge_scan(nbrs, cuts, r, s, labels), labels
 
+
+def _wedge_scan(nbrs: list[int], cuts: list[int], r: int, s: int, labels: Sequence[int]) -> _Masks:
+    """The (A, mask) pairs of _graph_masks on a core whose position v has neighbours nbrs[cuts[v]:cuts[v + 1]]."""
     def above(v: int, a0: int) -> list[int]:
-        return adj[v][bisect_right(adj[v], a0):]
+        return nbrs[bisect_right(nbrs, a0, cuts[v], cuts[v + 1]):cuts[v + 1]]
 
-    def scan() -> _Masks:
-        # Neighbour masks of the candidates the scan has not reached yet. A
-        # vertex is a candidate only for smaller a0, so its mask needs only the
-        # bits above the a0 that first builds it, and is dropped when a0 reaches it.
-        ahead: dict[int, int] = {}
-        for a0 in range(len(labels)):
-            ahead.pop(a0, None)
-            up = above(a0, a0)
-            if len(up) < s:
-                continue
-            wedges: Counter[int] = Counter()
-            for w in up:
-                wedges.update(above(w, a0))
-            candidates = sorted(b for b, c in wedges.items() if c >= s)
-            if len(candidates) < r - 1:
-                continue
-            for b in candidates:
-                if b not in ahead:
-                    ahead[b] = sum(1 << w for w in above(b, a0))
-            up_mask = sum(1 << w for w in up)
-            for rest in combinations(candidates, r - 1):
-                common = up_mask
-                for b in rest:
-                    common &= ahead[b]
-                if common.bit_count() >= s:
-                    yield (tuple(labels[v] for v in (a0, *rest)),), common
-
-    return scan(), labels
+    # Neighbour masks of the candidates the scan has not reached yet. A vertex
+    # is a candidate only for smaller a0, so its mask needs only the bits above
+    # the a0 that first builds it, and is dropped when a0 reaches it.
+    ahead: dict[int, int] = {}
+    for a0 in range(len(labels)):
+        ahead.pop(a0, None)
+        up = above(a0, a0)
+        if len(up) < s:
+            continue
+        wedges = Counter(chain.from_iterable([above(w, a0) for w in up]))
+        candidates = sorted(b for b, c in wedges.items() if c >= s)
+        if len(candidates) < r - 1:
+            continue
+        for b in candidates:
+            if b not in ahead:
+                ahead[b] = sum(1 << w for w in above(b, a0))
+        up_mask = sum(1 << w for w in up)
+        for rest in combinations(candidates, r - 1):
+            common = up_mask
+            for b in rest:
+                common &= ahead[b]
+            if common.bit_count() >= s:
+                yield (tuple(labels[v] for v in (a0, *rest)),), common
 
 
-def _partite_masks(
-    edges: Iterable[Edge], parts: Sequence[Sequence[int]], r: int, s: int
-) -> tuple[_Masks, list[int]]:
+def _partite_masks(a: np.ndarray, rank: np.ndarray, r: int, s: int) -> tuple[_Masks, list[int]]:
     """Anchored: each choice S of r-sets in every part but the last with at least s completions.
 
-    Every edge must meet each part once. Two parts are the graph kernel, the
-    first part ranked first. For k >= 3, S's transversals each have s or more
-    completions in the last part, so S is an anchored copy of that prefix graph,
-    found one part down, and its mask ANDs their completer masks, as in
-    _link_masks. S comes in lexicographic order, as a product scan gives it.
+    Each edge row of a meets every part once; rank[v] is the position of v's
+    part. Two parts are the graph kernel, the first part ranked first. For
+    k >= 3, S's transversals each have s or more completions in the last part,
+    so S is an anchored copy of that prefix graph, found one part down, and its
+    mask ANDs their completer masks, as in _link_masks. S comes in
+    lexicographic order, as a product scan gives it.
     """
-    index = {v: i for i, part in enumerate(parts) for v in part}
-    if len(parts) == 2:
-        return _graph_masks(edges, r, s, key=lambda v: (index[v], v))
-    ordered = [tuple(sorted(e, key=index.__getitem__)) for e in edges]
-    labels = sorted({e[-1] for e in ordered})
-    pos = {v: i for i, v in enumerate(labels)}
+    if a.shape[1] == 2:
+        return _graph_masks(a, r, s, rank)
+    ordered = np.empty_like(a)
+    ordered[np.arange(len(a))[:, None], rank[a]] = a
+    labels, pos = _relabel(ordered[:, -1])
     completers: dict[Edge, int] = {}
-    for e in ordered:
-        completers[e[:-1]] = completers.get(e[:-1], 0) | 1 << pos[e[-1]]
-    prefix = [t for t, mask in completers.items() if mask.bit_count() >= s]
+    for t, p in zip(map(tuple, ordered[:, :-1].tolist()), pos.tolist()):
+        completers[t] = completers.get(t, 0) | 1 << p
+    prefix = np.array([t for t, mask in completers.items() if mask.bit_count() >= s], np.int64)
 
     def scan() -> _Masks:
-        masks, prefix_labels = _partite_masks(prefix, parts[:-1], r, r)
+        masks, prefix_labels = _partite_masks(prefix.reshape(-1, a.shape[1] - 1), rank, r, r)
         for S, mask in masks:
             for A in combinations(_members(mask, prefix_labels), r):
                 common = -1
@@ -175,41 +222,37 @@ def _partite_masks(
                 if common.bit_count() >= s:
                     yield (*S, A), common
 
-    return scan(), labels
+    return scan(), labels.tolist()
 
 
-def _link_masks(edges: Collection[Edge], k: int, r: int) -> tuple[_Masks, list[int]]:
+def _link_masks(a: np.ndarray, r: int) -> tuple[_Masks, list[int]]:
     """Unordered k-graphs, k >= 3: each vertex v and copy C in v's link with a completion above v.
 
-    A copy whose least vertex is v leaves the copy C of its other k - 1 parts in
-    the link above v, {e - {v} : min(e) = v}, found by the same search one
-    uniformity down (the graph kernel at k - 1 = 2). The mask holds the vertices
-    above v that complete every transversal of C; v's part is v plus any
-    (r - 1)-set of them. S is ((v,),) + C. As in the graph kernel, the masks are
-    over positions into the returned labels, the vertices of the edges in
-    increasing order, and the pairs come in increasing order of v.
+    a holds the edges as sorted rows. A copy whose least vertex is v leaves the
+    copy C of its other k - 1 parts in the link above v, {e - {v} : min(e) = v},
+    found by the same search one uniformity down (_link_copies). The mask holds
+    the vertices above v that complete every transversal of C; v's part is v
+    plus any (r - 1)-set of them. S is ((v,),) + C. As in the graph kernel, the
+    masks are over positions into the returned labels, the vertices of the
+    edges in increasing order, and the pairs come in increasing order of v.
 
     Every transversal of C needs r - 1 completions above v besides v, so a
     link edge without them is dropped before the search: otherwise a host
     whose edges all pass through one vertex would have its whole link
     searched for copies that cannot be completed.
     """
-    labels = sorted({v for e in edges for v in e})
-    pos = {v: i for i, v in enumerate(labels)}
-    edges = [tuple(pos[v] for v in e) for e in edges]
+    labels, pos = _relabel(a)
+    labels, edges = labels.tolist(), list(map(tuple, pos.tolist()))
     completers: dict[Edge, int] = {}
     for e in edges:
         for i, w in enumerate(e):
             rest = e[:i] + e[i + 1:]
             completers[rest] = completers.get(rest, 0) | (1 << w)
-    links: dict[int, list[Edge]] = {}
-    for e in edges:
-        if (completers[e[1:]] & -(2 << e[0])).bit_count() >= r - 1:
-            links.setdefault(e[0], []).append(e[1:])
+    rows = [e for e in edges if (completers[e[1:]] & -(2 << e[0])).bit_count() >= r - 1]
 
     def scan() -> _Masks:
-        for v in sorted(links):
-            for C in _unordered_copies(links[v], k - 1, r):
+        for v, copies in _link_copies(np.array(rows, np.int64).reshape(-1, a.shape[1]), r, len(labels)):
+            for C in copies:
                 # Start from every position above v. A transversal's own
                 # vertices never complete it, so the AND also clears C's.
                 common = -(2 << v)
@@ -222,6 +265,26 @@ def _link_masks(edges: Collection[Edge], k: int, r: int) -> tuple[_Masks, list[i
                     yield tuple(tuple(labels[u] for u in part) for part in S), common
 
     return scan(), labels
+
+
+def _link_copies(rows: np.ndarray, r: int, n: int) -> Iterator[tuple[int, Iterator[tuple[tuple[int, ...], ...]]]]:
+    """Each row tag v, in increasing order, with the unordered copies in its link {e : (v, *e) a row}.
+
+    Graph links are peeled in one pass, as one graph on the vertices v * n + w (w < n); each link's
+    core is then scanned on its own, over positions from its first, so its masks stay narrow.
+    """
+    if rows.shape[1] > 3:
+        for v, link in groupby(sorted(rows.tolist()), key=lambda row: row[0]):
+            yield v, _unordered_copies(np.array([row[1:] for row in link], np.int64), r)
+        return
+    core, nbrs, cuts = _r_core(rows[:, :1] * n + rows[:, 1:], r)
+    tags, labels = np.divmod(core, n)
+    nbrs = nbrs - tags.searchsorted(tags)[nbrs]
+    bounds = np.flatnonzero(np.diff(tags, prepend=-1)).tolist() + [len(core)]
+    nbrs, cuts, labels, tags = nbrs.tolist(), cuts.tolist(), labels.tolist(), tags.tolist()
+    for lo, hi in zip(bounds, bounds[1:]):
+        masks = _wedge_scan(nbrs, cuts[lo:hi + 1], r, r, labels[lo:hi])
+        yield tags[lo], (copy.parts for copy in _completions(masks, r, labels[lo:hi]))
 
 
 def _members(mask: int, labels: Sequence[int]) -> list[int]:
@@ -241,12 +304,9 @@ def _completions(masks: _Masks, s: int, labels: Sequence[int]) -> Iterator[Patte
             yield PatternCopy(S + (B,))
 
 
-def _unordered_copies(edges: Collection[Edge], k: int, r: int) -> Iterator[tuple[tuple[int, ...], ...]]:
-    """Unordered copies in a k-graph, k >= 2, as parts sorted by minimum, by increasing least vertex."""
-    if k == 2:
-        masks, labels = _graph_masks(edges, r, r)
-        return (copy.parts for copy in _completions(masks, r, labels))
-    masks, labels = _link_masks(edges, k, r)
+def _unordered_copies(a: np.ndarray, r: int) -> Iterator[tuple[tuple[int, ...], ...]]:
+    """Unordered copies in a k-graph (sorted edge rows a, k >= 3), parts sorted by minimum, by least vertex."""
+    masks, labels = _link_masks(a, r)
     return (
         ((v, *R), *C) for ((v,), *C), mask in masks for R in combinations(_members(mask, labels), r - 1)
     )
@@ -331,12 +391,22 @@ def count_matchings(g: Hypergraph, r: int) -> int:
     C(|A|, 2) - sum_T (-1)^(|T|+1) C(|A & E_T|, 2) r-matchings, where E_T masks
     the edges containing T and T runs over the vertex sets of size 1 to k - 1
     in at least two edges. This is exact: two edges meeting in S != {} are
-    subtracted sum over nonempty T in S of (-1)^(|T|+1) = 1 time.
+    subtracted sum over nonempty T in S of (-1)^(|T|+1) = 1 time. At r = 2, A
+    holds every edge, and no mask is built.
     """
     if r < 1:
         raise ValueError("matching size r must be >= 1")
     if r == 1:
         return g.m
+    if r == 2:
+        a, total = _edge_array(g.edges, g.k), comb(g.m, 2)
+        for t in range(1, g.k):
+            # Sorted, the T-rows of the edges come in runs of length |E_T|.
+            rows = a[:, list(combinations(range(g.k), t))].reshape(-1, t)
+            rows = rows[np.lexsort(rows.T)]
+            runs = np.diff(np.flatnonzero(np.r_[True, (rows[1:] != rows[:-1]).any(axis=1), True]))
+            total += (-1) ** t * int((runs * (runs - 1) // 2).sum())
+        return total
     # E_T & (E_T - 1) drops the masks with one edge, which hold no pair.
     shared = _containing(g.sorted_edges(), range(1, g.k)).items()
     terms = [((-1) ** len(T), E_T) for T, E_T in shared if E_T & (E_T - 1)]
@@ -399,13 +469,14 @@ def extensions_of_matching(
 
 def _copy_masks(g: Hypergraph, r: int, spec: PartitionSpec | None) -> tuple[_Masks, Sequence[int]]:
     """The mask loop for the anchored, k = 1 and unordered-graph paths, and its labels; checks the partition."""
+    a = _edge_array(g.edges, g.k)
     if spec is not None:
-        require_partite(g, spec)
+        _require_partite(a, g.n, spec)
     if g.k == 1:
-        return [((), (1 << g.m) - 1)], [v for (v,) in g.sorted_edges()]
+        return [((), (1 << g.m) - 1)], np.sort(a[:, 0]).tolist()
     if spec is None:
-        return _graph_masks(g.edges, r, r)
-    return _partite_masks(g.edges, spec.parts, r, r)
+        return _graph_masks(a, r, r)
+    return _partite_masks(a, spec._labels, r, r)
 
 
 def enumerate_copies(
@@ -420,7 +491,7 @@ def enumerate_copies(
     if spec is None and g.k >= 3:
         # Each least vertex's copies are sorted on their own, so the iterator
         # stays lazy from one least vertex to the next.
-        groups = groupby(_unordered_copies(g.edges, g.k, r), key=lambda parts: parts[0][0])
+        groups = groupby(_unordered_copies(_edge_array(g.edges, g.k), r), key=lambda parts: parts[0][0])
         return (PatternCopy(parts) for _v, group in groups for parts in sorted(group, key=_first_seen_key))
     masks, labels = _copy_masks(g, r, spec)
     return _completions(masks, r, labels)
@@ -431,7 +502,7 @@ def count_copies(g: Hypergraph, r: int, spec: PartitionSpec | None = None) -> in
     if r < 1:
         raise ValueError("pattern side r must be >= 1")
     if spec is None and g.k >= 3:
-        return _count(_link_masks(g.edges, g.k, r)[0], r - 1)
+        return _count(_link_masks(_edge_array(g.edges, g.k), r)[0], r - 1)
     return _count(_copy_masks(g, r, spec)[0], r)
 
 

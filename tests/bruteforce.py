@@ -61,6 +61,47 @@ def brute_graph_masks(g: Hypergraph, r: int) -> list[tuple[tuple[int, ...], tupl
     return found
 
 
+def brute_r_core(edges, r: int) -> set[int]:
+    """The vertices of the r-core: repeatedly delete a vertex of degree below r, one at a time."""
+    nbrs: dict[int, set[int]] = {}
+    for a, b in edges:
+        nbrs.setdefault(a, set()).add(b)
+        nbrs.setdefault(b, set()).add(a)
+    low = [v for v, vs in nbrs.items() if len(vs) < r]
+    while low:
+        v = low.pop()
+        for w in nbrs.pop(v):
+            nbrs[w].discard(v)
+            if len(nbrs[w]) == r - 1:
+                low.append(w)
+    return set(nbrs)
+
+
+def brute_link_masks(g: Hypergraph, r: int) -> list[tuple[tuple, tuple[int, ...]]]:
+    """Unordered k >= 3 copies through links, one link at a time, as (S, completions) pairs.
+
+    For each vertex v in increasing order and each copy C of v's link above v,
+    {e - {v} : min(e) = v}, in the order this search one uniformity down lists
+    it (brute_graph_masks at k - 1 = 2), the vertices above v that complete
+    every transversal of C, when there are at least r - 1 of them. S is
+    ((v,),) + C. This is the sequence the library's link kernel must produce.
+    """
+    found = []
+    for v in range(g.n):
+        link = Hypergraph.from_edges(g.k - 1, g.n, (e[1:] for e in g.edges if e[0] == v))
+        if g.k == 3:
+            copies = [(A, B) for A, common in brute_graph_masks(link, r) for B in combinations(common, r)]
+        else:
+            copies = [
+                ((u, *R), *C) for ((u,), *C), common in brute_link_masks(link, r) for R in combinations(common, r - 1)
+            ]
+        for C in copies:
+            common = tuple(w for w in range(v + 1, g.n) if all(tuple(sorted((*t, w))) in g.edges for t in product(*C)))
+            if len(common) >= r - 1:
+                found.append((((v,), *C), common))
+    return found
+
+
 def without_isolated(g: Hypergraph) -> tuple[Hypergraph, list[int]]:
     """g on its non-isolated vertices, relabelled in increasing order, with the old labels.
 

@@ -3,12 +3,17 @@
 from __future__ import annotations
 
 import hashlib
+import os
 import random
+import subprocess
+import sys
 import time
 import tracemalloc
 from itertools import combinations
 from math import comb, factorial, perm
+from pathlib import Path
 
+import numpy as np
 import pytest
 
 from krsfree import (
@@ -32,8 +37,9 @@ from krsfree import (
     run_trials,
     summary_to_json,
 )
+from krsfree.hypergraph import _edge_array
 from krsfree.oracle import iter_pattern_copies
-from krsfree.patterns import _copy_masks, _partite_masks
+from krsfree.patterns import _copy_masks, _graph_masks, _link_masks, _partite_masks
 
 from bruteforce import (
     brute_copies_unordered,
@@ -43,7 +49,9 @@ from bruteforce import (
     brute_count_partite_copies,
     brute_graph_masks,
     brute_kgraph_copies_in_order,
+    brute_link_masks,
     brute_partite_masks,
+    brute_r_core,
     without_isolated,
 )
 from corpus import (
@@ -57,6 +65,14 @@ from corpus import (
     sparse_graph_corpus,
     sparse_partite_host,
 )
+
+
+def _rank(parts, n: int) -> np.ndarray:
+    """Each vertex's part position, for the parts in the order given."""
+    rank = np.empty(n, np.int64)
+    for i, part in enumerate(parts):
+        rank[list(part)] = i
+    return rank
 
 
 def k33_minus_edge() -> Hypergraph:
@@ -183,6 +199,78 @@ class TestGraphKernel:
         assert time.perf_counter() - start < 1.0
 
 
+class TestGraphCore:
+    """The graph kernel's numpy set-up: the r-core against the one-vertex-at-a-time referee."""
+
+    @staticmethod
+    def _hosts():
+        """(edges, rank) pairs: unordered graphs with rank None, bipartite ones ranked by part."""
+        hosts = [(g.edges, None) for g in graph_corpus(150, seed=1818) + sparse_graph_corpus()]
+        hosts += [(frozenset(), None), (frozenset({(3, 7)}), None)]
+        for g, spec in partite_corpus_small(60, seed=1919) + shuffled_partite_corpus(60, seed=2020):
+            # The first two parts of every row, a bipartite graph under the same rank.
+            rank = spec._labels
+            hosts.append((frozenset(tuple(sorted(v for v in e if rank[v] < 2)) for e in g.edges), rank))
+        return hosts
+
+    def test_core_matches_referee(self):
+        for edges, rank in self._hosts():
+            a = _edge_array(edges, 2)
+            for r in (1, 2, 3, 4):
+                order = (lambda v: v) if rank is None else (lambda v: (rank[v], v))
+                expected = sorted(brute_r_core(edges, r), key=order)
+                assert _graph_masks(a, r, r, rank)[1] == expected
+
+    def test_huge_labels_count_fast(self):
+        # Vertices near 2^62: no array may be sized by the largest label.
+        n = 2**62 + 2
+        big = [n - 6 + i for i in range(6)]
+        g = Hypergraph.from_edges(2, n, [(u, w) for u in big[:3] for w in big[3:]] + [(0, big[0])])
+        h = Hypergraph.from_edges(3, n, [(u, v, w) for u in big[:2] for v in big[2:4] for w in big[4:]])
+        start = time.perf_counter()
+        assert count_copies(g, 2) == 9
+        assert [c.parts for c in enumerate_copies(g, 3)] == [(tuple(big[:3]), tuple(big[3:]))]
+        assert count_copies(h, 2) == 1
+        assert [c.parts for c in enumerate_copies(h, 2)] == [(tuple(big[:2]), tuple(big[2:4]), tuple(big[4:]))]
+        assert time.perf_counter() - start < 0.1
+
+    @staticmethod
+    def _path(m: int) -> list[tuple[int, int]]:
+        return [(i, i + 1) for i in range(m)]
+
+    @staticmethod
+    def _caterpillar(m: int) -> list[tuple[int, int]]:
+        # A spine with a hair of three edges at every vertex: at r = 2 three
+        # numpy rounds each strip a quarter or more, then the queue eats the spine.
+        spine = m // 4
+        edges = [(i, i + 1) for i in range(spine - 1)]
+        for i in range(spine):
+            hair = [i] + [spine + 3 * i + j for j in range(3)]
+            edges += list(zip(hair, hair[1:]))
+        return edges
+
+    @staticmethod
+    def _binary_tree(m: int) -> list[tuple[int, int]]:
+        # Every numpy round strips the leaves, half of what is left.
+        return [((v - 1) // 2, v) for v in range(1, m + 1)]
+
+    @pytest.mark.parametrize(
+        "shape,r", [("_path", 2), ("_path", 3), ("_caterpillar", 2), ("_binary_tree", 2)]
+    )
+    def test_peel_is_linear(self, shape, r):
+        # A quadratic peel would take 16 times as long at four times the edges.
+        def best_time(m: int) -> float:
+            a = _edge_array(frozenset(getattr(self, shape)(m)), 2)
+            times = []
+            for _ in range(5):
+                start = time.perf_counter()
+                assert _graph_masks(a, r, r)[1] == []
+                times.append(time.perf_counter() - start)
+            return min(times)
+
+        assert best_time(100_000) < 8 * best_time(25_000)
+
+
 class TestPartiteCopies:
     def test_complete_tripartite_single_copy(self):
         g, spec = complete_multipartite([2, 2, 2])
@@ -238,7 +326,7 @@ class TestPartiteKernel:
             for parts in (spec.parts, spec.parts[::-1]):
                 for r in (1, 2, 3):
                     for s in (r, r + 1, r + 2):
-                        got = self._pairs(*_partite_masks(g.edges, parts, r, s))
+                        got = self._pairs(*_partite_masks(_edge_array(g.edges, g.k), _rank(parts, g.n), r, s))
                         assert got == brute_partite_masks(g, parts, r, s)
 
     def test_oriented_patterns_match_referee(self):
@@ -378,6 +466,16 @@ class TestKGraphKernel:
             assert len(list(enumerate_copies(sub, 2))) == copies
             assert time.perf_counter() - start < 1.0
         assert count_copies(build_construction(2, 2, 3)[0], 2) == 720
+
+    def test_batched_link_cores_match_per_link_referee(self):
+        # _link_masks peels the links of all its vertices in one pass; the
+        # referee searches one link at a time.
+        hosts = kgraph_corpus(60, seed=2121) + kgraph_corpus(20, seed=2222, k=4, max_n=10)
+        for g in hosts:
+            for r in (1, 2, 3):
+                masks, labels = _link_masks(_edge_array(g.edges, g.k), r)
+                got = [(S, tuple(labels[i] for i in range(mask.bit_length()) if mask >> i & 1)) for S, mask in masks]
+                assert got == brute_link_masks(g, r)
 
     def test_all_edges_through_one_vertex(self):
         # Vertex 0's link is complete, with 1,365,378 4-cycles, but no other
@@ -575,6 +673,21 @@ class TestMatchings:
             tracemalloc.stop()
         assert peak < 10 * 2**20
 
+    def test_pairs_on_a_long_path_follow_the_edges(self):
+        # The m-wide masks took 0.56 s and 208 MB on a path of 5 * 10^4 edges.
+        m = 100_000
+        g = Hypergraph.from_edges(2, m + 1, [(i, i + 1) for i in range(m)])
+        tracemalloc.start()
+        try:
+            start = time.perf_counter()
+            assert count_matchings(g, 2) == comb(m, 2) - (m - 1)
+            elapsed = time.perf_counter() - start
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert elapsed < 0.5
+        assert peak < 200 * m
+
     def test_enumeration_agrees_with_count(self):
         hosts = graph_corpus(40, max_n=9, seed=9) + kgraph_corpus(15, seed=19, max_n=12)
         rng = random.Random(39)
@@ -669,3 +782,23 @@ class TestBounds:
         for g in graph_corpus(40, seed=555):
             for r in (2, 3):
                 assert count_matchings(g, r) <= comb(g.m, r)
+
+
+def test_kernels_do_not_import_numpy_ma():
+    # numpy.ma (pulled in by np.unique, among others) adds megabytes of
+    # resident memory to every run that touches it.
+    code = """
+import sys
+from krsfree import build_construction, complete_bipartite, count_copies, enumerate_copies, is_partite
+g, spec = complete_bipartite(4, 5)
+h, hspec, _ = build_construction(2, 2, 3)
+for host, parts in ((g, spec), (h, hspec)):
+    assert is_partite(host, parts)
+    assert count_copies(host, 2) and count_copies(host, 2, parts)
+    assert list(enumerate_copies(host, 2)) and list(enumerate_copies(host, 2, parts))
+assert "numpy.ma" not in sys.modules, "numpy.ma was imported"
+"""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = str(Path(__file__).resolve().parents[1] / "src")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env, timeout=120)
+    assert proc.returncode == 0, proc.stderr
