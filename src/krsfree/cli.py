@@ -16,6 +16,7 @@ import json
 import math
 import sys
 import traceback
+from collections.abc import Callable
 from contextlib import contextmanager
 
 from .deletion import (
@@ -48,7 +49,6 @@ from .patterns import (
     copy_count_upper_bound_relaxed,
     count_copies,
     count_matchings,
-    pattern_exponent,
 )
 
 EXIT_OK = 0
@@ -85,22 +85,34 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(message)
 
 
+def _at_least(low: int) -> Callable[[str], int]:
+    """An argparse type: an int >= low. argparse names the flag in the error."""
+
+    def integer(text: str) -> int:
+        value = int(text)
+        if value < low:
+            raise argparse.ArgumentTypeError(f"must be >= {low}")
+        return value
+
+    return integer
+
+
 def _add_input_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--input", metavar="PATH", help="hypergraph file ('k n m' header)")
     p.add_argument("--parts", metavar="PATH", help="partition file (k lines of vertices)")
     p.add_argument("--construct", action="store_true", help="build the tight host instead of reading one")
     p.add_argument("--k", type=int, help="uniformity for --construct")
-    p.add_argument("--r", type=int, help="pattern side r")
+    p.add_argument("--r", type=_at_least(2), required=True, help="pattern side r")
     p.add_argument("--n", type=int, help="base size n for --construct")
 
 
 def _construct(args: argparse.Namespace) -> tuple[Hypergraph, PartitionSpec, ConstructionSpec]:
-    if args.k is None or args.r is None or args.n is None:
-        raise UsageError("--construct needs --k, --r and --n")
+    if args.k is None or args.n is None:
+        raise UsageError("--construct needs --k and --n")
     if args.n < 1:
         raise UsageError("--n must be >= 1")
-    if args.r < 2 or args.k < 2:
-        raise UsageError("--construct needs --r >= 2 and --k >= 2")
+    if args.k < 2:
+        raise UsageError("need --k >= 2")
     return build_construction(args.n, args.r, args.k)
 
 
@@ -129,10 +141,23 @@ def _load_host(
     return g, spec
 
 
-def _require_r(args: argparse.Namespace) -> int:
-    if args.r is None or args.r < 2:
-        raise UsageError("need --r >= 2")
-    return args.r
+def _pattern(
+    r: int, k: int, s: int | None, orientation: str | None, spec: PartitionSpec | None
+) -> PatternSpec:
+    """The oracle's pattern: K_{r,r} on graphs and the side-r k-partite pattern
+    otherwise; with s, K_{r,s} on a partitioned graph, in the proof orientation
+    unless orientation is "either"."""
+    if s is None:
+        return PatternSpec.krr(r) if k == 2 else PatternSpec.multipartite(r, k)
+    if k != 2:
+        raise UsageError("--s needs a graph host (k = 2)")
+    if spec is None:
+        raise UsageError("biclique oracle with --s needs --parts or --construct")
+    if s < r:
+        raise UsageError("need --s >= --r")
+    if orientation == "either":
+        return PatternSpec.krs_either(r, s)
+    return PatternSpec.krs_oriented(r, s)
 
 
 def cmd_construct(args: argparse.Namespace) -> int:
@@ -152,7 +177,7 @@ def cmd_construct(args: argparse.Namespace) -> int:
 
 def cmd_count(args: argparse.Namespace) -> int:
     g, spec = _load_host(args)
-    r = _require_r(args)
+    r = args.r
     copies = count_copies(g, r, spec)
     matchings = count_matchings(g, r)
     bound = copy_count_upper_bound(g.m, r, g.k)
@@ -172,16 +197,11 @@ def cmd_count(args: argparse.Namespace) -> int:
 
 def cmd_extract(args: argparse.Namespace) -> int:
     g, spec = _load_host(args)
-    r = _require_r(args)
     if g.k < 2:
         raise UsageError("extract needs a host with k >= 2")
-    if args.trials < 1:
-        raise UsageError("--trials must be >= 1")
-    if args.seed < 0:
-        raise UsageError("--seed must be >= 0")
     summary = run_trials(
         g,
-        r,
+        args.r,
         num_trials=args.trials,
         base_seed=args.seed,
         spec=spec,
@@ -207,23 +227,9 @@ def cmd_extract(args: argparse.Namespace) -> int:
 def cmd_oracle(args: argparse.Namespace) -> int:
     if args.s is None and args.orientation is not None:
         raise UsageError("--orientation needs --s")
-    if args.budget < 1:
-        raise UsageError("--budget must be >= 1")
     # The K_{r,r} pattern of a graph host reads no partition.
     g, spec = _load_host(args, reads_graph_parts=args.s is not None)
-    r = _require_r(args)
-    if args.s is None:
-        pattern = PatternSpec.krr(r) if g.k == 2 else PatternSpec.multipartite(r, g.k)
-    elif g.k != 2:
-        raise UsageError("--s needs a graph host (k = 2)")
-    elif spec is None:
-        raise UsageError("biclique oracle with --s needs --parts or --construct")
-    elif args.s < r:
-        raise UsageError("need --s >= --r")
-    elif args.orientation == "either":
-        pattern = PatternSpec.krs_either(r, args.s)
-    else:
-        pattern = PatternSpec.krs_oriented(r, args.s)
+    pattern = _pattern(args.r, g.k, args.s, args.orientation, spec)
     result = max_free_subgraph(g, pattern, spec, budget=args.budget)
     payload = {
         "schema": "v1",
@@ -247,10 +253,7 @@ def cmd_certify(args: argparse.Namespace) -> int:
         raise UsageError("certify needs a graph host (k = 2)")
     if not spec.parts[1]:
         raise UsageError("certify needs a nonempty second part")
-    r = _require_r(args)
-    s = args.s if args.s is not None else r
-    if s < 1:
-        raise UsageError("need --s >= 1")
+    s = args.s if args.s is not None else args.r
     if args.subgraph:
         with _reading_input():
             sub = read_hypergraph(args.subgraph)
@@ -259,7 +262,7 @@ def cmd_certify(args: argparse.Namespace) -> int:
             gprime = EdgeSubset(g, sub.edges)
     else:
         gprime = EdgeSubset(g, g.edges)
-    report = kst_certificate(gprime, spec, r, s)
+    report = kst_certificate(gprime, spec, args.r, s)
     payload = {
         "schema": "v1",
         "r": report.r,
@@ -275,28 +278,15 @@ def cmd_certify(args: argparse.Namespace) -> int:
 
 
 def cmd_bounds(args: argparse.Namespace) -> int:
-    if args.r is None or args.r < 2:
-        raise UsageError("need --r >= 2")
-    if args.k is None or args.k < 2:
-        raise UsageError("need --k >= 2")
-    if args.n is None or args.n < 1:
-        raise UsageError("need --n >= 1 (table covers bases 1..n)")
     r, k = args.r, args.k
-    if k != 2 and args.s is not None:
-        raise UsageError("--s needs --k 2")
     s = args.s if args.s is not None else r
-    if k == 2 and s < r:
-        raise UsageError("need s >= r for the graph bound")
-    if args.budget < 1:
-        raise UsageError("--budget must be >= 1")
-    q = pattern_exponent(r, k)
     rows = ["n,m,guarantee,upper_bound,oracle_optimum,certified"]
     for base in range(1, args.n + 1):
         g, spec, cspec = build_construction(base, r, k)
+        pattern = _pattern(r, k, args.s, None, spec)
         guarantee = deletion_params(cspec.m, r, k).guarantee
         upper = theorem_upper_bound(cspec.m, r, s, k)
-        pattern = PatternSpec.krr(r) if k == 2 else PatternSpec.multipartite(r, k)
-        result = max_free_subgraph(g, pattern, spec if k > 2 else None, budget=args.budget)
+        result = max_free_subgraph(g, pattern, spec, budget=args.budget)
         rows.append(
             "{n},{m},{lo},{up},{opt},{cert}".format(
                 n=base,
@@ -333,7 +323,7 @@ def build_parser() -> _Parser:
         description="Build the host with part sizes n^(r^(i-1)) and m = n^q edges.",
     )
     p.add_argument("--k", type=int, required=True)
-    p.add_argument("--r", type=int, required=True)
+    p.add_argument("--r", type=_at_least(2), required=True)
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--out", metavar="PATH", help="write hypergraph here and partition to PATH.parts")
     p.set_defaults(func=cmd_construct)
@@ -357,8 +347,8 @@ def build_parser() -> _Parser:
         ),
     )
     _add_input_flags(p)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--trials", type=int, default=1)
+    p.add_argument("--seed", type=_at_least(0), default=0)
+    p.add_argument("--trials", type=_at_least(1), default=1)
     p.add_argument("--policy", choices=["lex", "random", "greedy"], default="lex")
     p.add_argument("--out", metavar="PATH", help="output prefix")
     p.set_defaults(func=cmd_extract)
@@ -377,7 +367,7 @@ def build_parser() -> _Parser:
     p.add_argument(
         "--orientation", choices=["proof", "either"], help="biclique orientation (needs --s; default proof)"
     )
-    p.add_argument("--budget", type=int, default=2_000_000)
+    p.add_argument("--budget", type=_at_least(1), default=2_000_000)
     p.set_defaults(func=cmd_oracle)
 
     p = sub.add_parser(
@@ -386,7 +376,7 @@ def build_parser() -> _Parser:
         description="Prints a CertificateReport as JSON (schema v1). --subgraph restricts to an edge subset of the host.",
     )
     _add_input_flags(p)
-    p.add_argument("--s", type=int, help="biclique second side s (default r)")
+    p.add_argument("--s", type=_at_least(1), help="biclique second side s (default r)")
     p.add_argument("--subgraph", metavar="PATH", help="hypergraph file whose edges form the subgraph")
     p.set_defaults(func=cmd_certify)
 
@@ -395,11 +385,11 @@ def build_parser() -> _Parser:
         help="guarantee / upper bound / exact optimum table over bases 1..n",
         description="CSV columns: n, m, guarantee, upper_bound, oracle_optimum (blank if uncertified), certified.",
     )
-    p.add_argument("--r", type=int, required=True)
-    p.add_argument("--k", type=int, default=2)
-    p.add_argument("--s", type=int)
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--budget", type=int, default=500_000)
+    p.add_argument("--r", type=_at_least(2), required=True)
+    p.add_argument("--k", type=_at_least(2), default=2)
+    p.add_argument("--s", type=int, help="biclique second side s (graphs; oracle_optimum as oracle --s)")
+    p.add_argument("--n", type=_at_least(1), required=True)
+    p.add_argument("--budget", type=_at_least(1), default=500_000)
     p.add_argument("--out", metavar="PATH")
     p.set_defaults(func=cmd_bounds)
 

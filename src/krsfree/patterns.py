@@ -448,9 +448,6 @@ def extensions_of_matching(
             return [copy]
         return []
 
-    if k == 1:
-        return [PatternCopy((tuple(v for (v,) in edges),))]
-
     # Without a partition: assign each edge's k vertices bijectively to the k
     # parts. Pinning the first edge to the identity assignment picks one
     # representative per unordered copy.

@@ -415,6 +415,26 @@ class TestBounds:
         assert out == ""
         assert path.read_text().splitlines()[0].startswith("n,m,")
 
+    def test_s_column_is_the_oracles_krs_optimum(self, capsys):
+        code, out, _ = run_cli(capsys, "bounds", "--r", "2", "--s", "3", "--n", "3")
+        assert code == EXIT_OK
+        opts = [int(ln.split(",")[4]) for ln in out.splitlines()[1:]]
+        assert opts == [1, 6, 15]
+        for base, opt in enumerate(opts, start=1):
+            code, oracle_out, _ = run_cli(
+                capsys, "oracle", "--construct", "--k", "2", "--r", "2", "--n", str(base), "--s", "3"
+            )
+            assert code == EXIT_OK
+            assert json.loads(oracle_out)["optimum"] == opt
+
+    def test_s_equal_to_r_keeps_the_krr_column(self, capsys):
+        def column(*flags: str) -> list[str]:
+            code, out, _ = run_cli(capsys, "bounds", "--r", "2", "--n", "3", *flags)
+            assert code == EXIT_OK
+            return [ln.split(",")[4] for ln in out.splitlines()]
+
+        assert column("--s", "2") == column() == ["oracle_optimum", "1", "5", "12"]
+
     def test_usage_errors(self, capsys):
         assert run_cli(capsys, "bounds", "--r", "1", "--n", "2")[0] == EXIT_USAGE
         assert run_cli(capsys, "bounds", "--r", "3", "--s", "2", "--n", "2")[0] == EXIT_USAGE
@@ -527,6 +547,69 @@ class TestExitCodes:
         assert code == EXIT_INTERNAL
         assert out == ""
         assert "Traceback" in err and "simulated library bug" in err
+
+
+# "{host}" stands for a K_{2,4} host file, with its partition at "{host}.parts".
+HOST = "{host}"
+PARTS = "{host}.parts"
+
+
+def _fill(argv: tuple[str, ...], host: str) -> list[str]:
+    return [a.replace("{host}", host) for a in argv]
+
+
+class TestFlagRanges:
+    """A flag outside its range exits 1 and names the flag; its boundary is accepted."""
+
+    @pytest.mark.parametrize(
+        "flag, argv",
+        [
+            ("--r", ("construct", "--k", "2", "--r", "1", "--n", "2")),
+            ("--r", ("count", "--input", HOST, "--r", "1")),
+            ("--r", ("extract", "--input", HOST, "--r", "1")),
+            ("--r", ("oracle", "--input", HOST, "--r", "1")),
+            ("--r", ("certify", "--input", HOST, "--parts", PARTS, "--r", "1")),
+            ("--r", ("bounds", "--r", "1", "--n", "2")),
+            ("--trials", ("extract", "--input", HOST, "--r", "2", "--trials", "0")),
+            ("--seed", ("extract", "--input", HOST, "--r", "2", "--seed", "-1")),
+            ("--budget", ("oracle", "--input", HOST, "--r", "2", "--budget", "0")),
+            ("--s", ("oracle", "--input", HOST, "--parts", PARTS, "--r", "2", "--s", "1")),
+            ("--budget", ("bounds", "--r", "2", "--n", "2", "--budget", "0")),
+            ("--k", ("bounds", "--r", "2", "--k", "1", "--n", "2")),
+            ("--n", ("bounds", "--r", "2", "--n", "0")),
+            ("--s", ("bounds", "--r", "2", "--s", "1", "--n", "2")),
+            ("--s", ("certify", "--input", HOST, "--parts", PARTS, "--r", "2", "--s", "0")),
+            ("--n", ("construct", "--k", "2", "--r", "2", "--n", "0")),
+            ("--k", ("construct", "--k", "1", "--r", "2", "--n", "2")),
+            # Flags are checked before any file is read.
+            ("--r", ("count", "--input", HOST + ".missing")),
+        ],
+        ids=lambda v: v if isinstance(v, str) else " ".join(v),
+    )
+    def test_out_of_range_is_usage_error_naming_the_flag(self, capsys, k24_file, flag, argv):
+        code, out, err = run_cli(capsys, *_fill(argv, k24_file))
+        assert code == EXIT_USAGE
+        assert out == ""
+        assert err.startswith("usage error:") and flag in err
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("construct", "--k", "2", "--r", "2", "--n", "1"),
+            ("extract", "--input", HOST, "--r", "2", "--trials", "1", "--seed", "0"),
+            ("oracle", "--input", HOST, "--r", "2", "--budget", "1"),
+            ("oracle", "--input", HOST, "--parts", PARTS, "--r", "2", "--s", "2"),
+            ("certify", "--input", HOST, "--parts", PARTS, "--r", "2", "--s", "1"),
+            ("bounds", "--r", "2", "--k", "2", "--s", "2", "--n", "1", "--budget", "1"),
+            # --k and --n go with --construct; other commands ignore them.
+            ("count", "--input", HOST, "--r", "2", "--k", "1", "--n", "0"),
+        ],
+        ids=" ".join,
+    )
+    def test_boundary_is_accepted(self, capsys, k24_file, argv):
+        code, _, err = run_cli(capsys, *_fill(argv, k24_file))
+        assert code == EXIT_OK, err
+
 
 class TestParserBehaviour:
     def test_unknown_flag(self, capsys):

@@ -16,7 +16,6 @@ from krsfree import (
     PatternSpec,
     complete_bipartite,
     complete_multipartite,
-    count_copies,
     f_lower_report,
     is_free,
     max_free_subgraph,
@@ -24,7 +23,6 @@ from krsfree import (
 from krsfree.oracle import (
     KIND_KRR,
     KIND_KRS_EITHER,
-    KIND_KRS_ORIENTED,
     KIND_MULTIPARTITE,
     _root_bound,
     iter_pattern_copies,

@@ -20,6 +20,7 @@ from krsfree import (
     Hypergraph,
     Matching,
     PartitionSpec,
+    PatternCopy,
     PatternSpec,
     bernoulli_edge_sample,
     build_construction,
@@ -736,6 +737,19 @@ class TestExtensions:
             cap = factorial(g.k) ** 2
             for mtch in enumerate_matchings(g, 2):
                 assert len(extensions_of_matching(g, mtch, 2)) <= cap
+
+    def test_one_graph_matching_extends_to_its_one_copy(self):
+        # A 1-uniform copy is one part holding every matched vertex, in order.
+        rng = random.Random(451)
+        checked = 0
+        for _ in range(40):
+            g = random_kgraph(rng.randint(1, 10), 1, rng.random(), rng)
+            for r in (1, 2, 3, 4):
+                for mtch in enumerate_matchings(g, r):
+                    expected = [PatternCopy((tuple(v for (v,) in sorted(mtch.edges)),))]
+                    assert extensions_of_matching(g, mtch, r) == expected
+                    checked += 1
+        assert checked > 100
 
     def test_partite_extension_is_unique_when_present(self):
         g, spec = complete_multipartite([2, 2, 2])
