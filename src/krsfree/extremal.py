@@ -22,8 +22,13 @@ VERDICT_PROVES = "proves-containment"
 VERDICT_INCONCLUSIVE = "inconclusive"
 
 
+# The largest host build_construction builds.
+_MAX_VERTICES = 200_000
+_MAX_EDGES = 2_000_000
+
+
 class CapacityError(Exception):
-    """Requested construction exceeds the configured vertex or edge budget."""
+    """Requested construction exceeds the vertex or edge budget."""
 
 
 @dataclass(frozen=True)
@@ -38,13 +43,7 @@ class ConstructionSpec:
     m: int
 
 
-def build_construction(
-    n: int,
-    r: int,
-    k: int,
-    max_vertices: int = 200_000,
-    max_edges: int = 2_000_000,
-) -> tuple[Hypergraph, PartitionSpec, ConstructionSpec]:
+def build_construction(n: int, r: int, k: int) -> tuple[Hypergraph, PartitionSpec, ConstructionSpec]:
     """Complete k-partite host with |U_i| = n^(r^(i-1)), hence exactly n^q edges."""
     if n < 1:
         raise ValueError("need base n >= 1")
@@ -54,12 +53,10 @@ def build_construction(
     sizes = tuple(n ** (r**i) for i in range(k))
     m = n**q
     total_vertices = sum(sizes)
-    if total_vertices > max_vertices:
-        raise CapacityError(
-            f"construction needs {total_vertices} vertices, budget is {max_vertices}"
-        )
-    if m > max_edges:
-        raise CapacityError(f"construction needs {m} edges, budget is {max_edges}")
+    if total_vertices > _MAX_VERTICES:
+        raise CapacityError(f"construction needs {total_vertices} vertices, budget is {_MAX_VERTICES}")
+    if m > _MAX_EDGES:
+        raise CapacityError(f"construction needs {m} edges, budget is {_MAX_EDGES}")
     g, spec = complete_multipartite(sizes)
     cspec = ConstructionSpec(n=n, r=r, k=k, part_sizes=sizes, q=q, m=m)
     assert g.m == m

@@ -34,10 +34,11 @@ nodes explored.
 Otherwise a depth-first branch and bound over edge deletions runs on an
 explicit stack: branch on the surviving copy with the fewest deletable edges
 (ties broken lexicographically), children delete one edge each and freeze the
-earlier-tried ones, and a greedy packing of edge-disjoint surviving copies
-gives an admissible lower bound on the deletions still needed. Each node
-keeps the copies of its parent's list that miss the deleted edge. The search
-stops as soon as its incumbent meets the root bound.
+earlier-tried ones, so a node whose least-key copy has no deletable edge gets
+no children. A greedy packing of edge-disjoint surviving copies gives an
+admissible lower bound on the deletions still needed. Each node keeps the
+copies of its parent's list that miss the deleted edge. The search stops as
+soon as its incumbent meets the root bound.
 A node budget caps it; if it runs out, the best subgraph found so far is
 returned with the optimality flag cleared, and upper_bound - optimum is how
 far from proven it is.
@@ -53,13 +54,8 @@ from typing import Callable, Iterator, Sequence
 import numpy as np
 
 from .deletion import run_trials
-from .hypergraph import EdgeSubset, Hypergraph, PartitionSpec, _edge_array, _require_partite
-from .patterns import (
-    PatternCopy,
-    _completions,
-    _partite_masks,
-    enumerate_copies,
-)
+from .hypergraph import EdgeSubset, Hypergraph, PartitionSpec
+from .patterns import PatternCopy, _completions, _copy_masks, enumerate_copies
 
 KIND_KRR = "rr-unordered"
 KIND_KRS_ORIENTED = "rs-oriented"
@@ -108,28 +104,21 @@ def iter_pattern_copies(
     g: Hypergraph, pattern: PatternSpec, spec: PartitionSpec | None = None
 ) -> Iterator[PatternCopy]:
     """All copies of the pattern in g. Oversized patterns yield nothing."""
+    if pattern.k != g.k:
+        raise ValueError(f"pattern uniformity {pattern.k} does not match host {g.k}")
     if pattern.kind == KIND_KRR:
-        if g.k != 2:
-            raise ValueError("r-by-r biclique pattern needs a graph host")
         yield from enumerate_copies(g, pattern.r)
         return
     if pattern.kind == KIND_MULTIPARTITE:
-        if pattern.k != g.k:
-            raise ValueError(f"pattern uniformity {pattern.k} does not match host {g.k}")
         yield from enumerate_copies(g, pattern.r, spec)
         return
-    if g.k != 2:
-        raise ValueError("biclique patterns need a graph host")
     if spec is None or spec.k != 2:
         raise ValueError("oriented biclique patterns need a bipartition of the host")
-    a = _edge_array(g.edges, 2)
-    _require_partite(a, g.n, spec)
-    assert pattern.s is not None
-    # Each vertex's part position; 1 - rank swaps the two parts.
-    ranks = [spec._labels, 1 - spec._labels] if pattern.kind == KIND_KRS_EITHER else [spec._labels]
-    for rank in ranks:
-        masks, labels = _partite_masks(a, rank, pattern.r, pattern.s)
-        yield from _completions(masks, pattern.s, labels)
+    orientations = [spec]
+    if pattern.kind == KIND_KRS_EITHER:
+        orientations.append(PartitionSpec(spec.parts[::-1]))
+    for parts in orientations:
+        yield from _completions(*_copy_masks(g, pattern.r, parts, pattern.s))
 
 
 def is_free(
@@ -351,8 +340,6 @@ def max_free_subgraph(
         branch = 0
         for c in intact:
             free_bits = c & ~kept
-            if not free_bits:
-                break  # some surviving copy is frozen solid: no solution below here
             if not c & packed:
                 packed |= c
                 packing += 1
@@ -360,16 +347,16 @@ def max_free_subgraph(
             if branch_key is None or key < branch_key:
                 branch_key = key
                 branch = free_bits
-        else:
-            if depth + packing < fewest:
-                children = []
-                tried = kept
-                while branch:
-                    bit = branch & -branch
-                    branch ^= bit
-                    children.append((intact, bit, deleted | bit, tried, depth + 1))
-                    tried |= bit
-                stack.extend(reversed(children))
+        # A copy frozen solid has the least key and no bit to branch on.
+        if depth + packing < fewest:
+            children = []
+            tried = kept
+            while branch:
+                bit = branch & -branch
+                branch ^= bit
+                children.append((intact, bit, deleted | bit, tried, depth + 1))
+                tried |= bit
+            stack.extend(reversed(children))
 
     witness_edges = frozenset(edges[i] for i in range(m) if best_kept >> i & 1)
     return OracleResult(

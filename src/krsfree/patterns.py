@@ -275,7 +275,8 @@ def _link_copies(rows: np.ndarray, r: int, n: int) -> Iterator[tuple[int, Iterat
     """
     if rows.shape[1] > 3:
         for v, link in groupby(sorted(rows.tolist()), key=lambda row: row[0]):
-            yield v, _unordered_copies(np.array([row[1:] for row in link], np.int64), r)
+            masks, labels = _link_masks(np.array([row[1:] for row in link], np.int64), r)
+            yield v, _unordered_copies(masks, labels, r - 1)
         return
     core, nbrs, cuts = _r_core(rows[:, :1] * n + rows[:, 1:], r)
     tags, labels = np.divmod(core, n)
@@ -284,7 +285,7 @@ def _link_copies(rows: np.ndarray, r: int, n: int) -> Iterator[tuple[int, Iterat
     nbrs, cuts, labels, tags = nbrs.tolist(), cuts.tolist(), labels.tolist(), tags.tolist()
     for lo, hi in zip(bounds, bounds[1:]):
         masks = _wedge_scan(nbrs, cuts[lo:hi + 1], r, r, labels[lo:hi])
-        yield tags[lo], (copy.parts for copy in _completions(masks, r, labels[lo:hi]))
+        yield tags[lo], (copy.parts for copy in _completions(masks, labels[lo:hi], r))
 
 
 def _members(mask: int, labels: Sequence[int]) -> list[int]:
@@ -297,19 +298,16 @@ def _members(mask: int, labels: Sequence[int]) -> list[int]:
     return members
 
 
-def _completions(masks: _Masks, s: int, labels: Sequence[int]) -> Iterator[PatternCopy]:
+def _completions(masks: _Masks, labels: Sequence[int], s: int) -> Iterator[PatternCopy]:
     """Expand each (S, mask) into the copies S + (B,), B an s-set of the mask's labels."""
     for S, mask in masks:
         for B in combinations(_members(mask, labels), s):
             yield PatternCopy(S + (B,))
 
 
-def _unordered_copies(a: np.ndarray, r: int) -> Iterator[tuple[tuple[int, ...], ...]]:
-    """Unordered copies in a k-graph (sorted edge rows a, k >= 3), parts sorted by minimum, by least vertex."""
-    masks, labels = _link_masks(a, r)
-    return (
-        ((v, *R), *C) for ((v,), *C), mask in masks for R in combinations(_members(mask, labels), r - 1)
-    )
+def _unordered_copies(masks: _Masks, labels: Sequence[int], size: int) -> Iterator[tuple[tuple[int, ...], ...]]:
+    """Expand _link_masks' pairs into copies, v's part gaining a size-set of the mask; parts sorted by minimum."""
+    return (((v, *R), *C) for ((v,), *C), mask in masks for R in combinations(_members(mask, labels), size))
 
 
 def _first_seen_key(parts: tuple[tuple[int, ...], ...]) -> tuple:
@@ -424,6 +422,8 @@ def extensions_of_matching(
     Each matching edge must be a transversal of the copy. The list has at most
     2^r entries for graphs and at most (k!)^r in general.
     """
+    if r < 1:
+        raise ValueError("matching size r must be >= 1")
     edges = sorted(matching.edges)
     if len(edges) != r:
         raise ValueError(f"matching has {len(edges)} edges, expected r={r}")
@@ -464,16 +464,25 @@ def extensions_of_matching(
     return results
 
 
-def _copy_masks(g: Hypergraph, r: int, spec: PartitionSpec | None) -> tuple[_Masks, Sequence[int]]:
-    """The mask loop for the anchored, k = 1 and unordered-graph paths, and its labels; checks the partition."""
+def _copy_masks(g: Hypergraph, r: int, spec: PartitionSpec | None, s: int) -> tuple[_Masks, Sequence[int], int]:
+    """The mask loop for r-sets with s completions, its labels, and how many mask vertices a copy takes.
+
+    Checks r and the partition, then picks the kernel: k = 1, anchored,
+    unordered graph, or the link kernel for unordered k >= 3, which takes
+    s = r and adds r - 1 mask vertices to the least vertex's part.
+    """
+    if r < 1:
+        raise ValueError("pattern side r must be >= 1")
     a = _edge_array(g.edges, g.k)
     if spec is not None:
         _require_partite(a, g.n, spec)
     if g.k == 1:
-        return [((), (1 << g.m) - 1)], np.sort(a[:, 0]).tolist()
-    if spec is None:
-        return _graph_masks(a, r, r)
-    return _partite_masks(a, spec._labels, r, r)
+        return [((), (1 << g.m) - 1)], np.sort(a[:, 0]).tolist(), s
+    if spec is not None:
+        return (*_partite_masks(a, spec._labels, r, s), s)
+    if g.k == 2:
+        return (*_graph_masks(a, r, s), s)
+    return (*_link_masks(a, r), r - 1)
 
 
 def enumerate_copies(
@@ -483,24 +492,19 @@ def enumerate_copies(
 
     An oversized pattern (r * k > n) yields nothing rather than raising.
     """
-    if r < 1:
-        raise ValueError("pattern side r must be >= 1")
+    masks, labels, size = _copy_masks(g, r, spec, r)
     if spec is None and g.k >= 3:
         # Each least vertex's copies are sorted on their own, so the iterator
         # stays lazy from one least vertex to the next.
-        groups = groupby(_unordered_copies(_edge_array(g.edges, g.k), r), key=lambda parts: parts[0][0])
+        groups = groupby(_unordered_copies(masks, labels, size), key=lambda parts: parts[0][0])
         return (PatternCopy(parts) for _v, group in groups for parts in sorted(group, key=_first_seen_key))
-    masks, labels = _copy_masks(g, r, spec)
-    return _completions(masks, r, labels)
+    return _completions(masks, labels, size)
 
 
 def count_copies(g: Hypergraph, r: int, spec: PartitionSpec | None = None) -> int:
     """Number of copies of the side-r pattern, equal to the enumeration's length."""
-    if r < 1:
-        raise ValueError("pattern side r must be >= 1")
-    if spec is None and g.k >= 3:
-        return _count(_link_masks(_edge_array(g.edges, g.k), r)[0], r - 1)
-    return _count(_copy_masks(g, r, spec)[0], r)
+    masks, _labels, size = _copy_masks(g, r, spec, r)
+    return _count(masks, size)
 
 
 def copy_count_upper_bound(m: int, r: int, k: int) -> int:

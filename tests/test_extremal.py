@@ -66,8 +66,9 @@ class TestConstruction:
     def test_capacity_errors(self):
         with pytest.raises(CapacityError, match="vertices"):
             build_construction(10, 3, 3)
+        # 127 + 127^2 vertices fit, but 127^3 = 2,048,383 edges do not.
         with pytest.raises(CapacityError, match="edges"):
-            build_construction(9, 2, 2, max_edges=500)
+            build_construction(127, 2, 2)
 
     def test_domain_errors(self):
         with pytest.raises(ValueError):

@@ -123,8 +123,14 @@ class TestIsFree:
         g, spec = complete_multipartite([2, 2, 2])
         free, witness = is_free(g, PatternSpec.multipartite(2, 3), spec)
         assert not free and witness.parts == ((0, 1), (2, 3), (4, 5))
-        with pytest.raises(ValueError, match="does not match host"):
-            is_free(g, PatternSpec.multipartite(2, 2), spec)
+        for pattern in (
+            PatternSpec.multipartite(2, 2),
+            PatternSpec.krr(2),
+            PatternSpec.krs_oriented(2, 3),
+            PatternSpec.krs_either(2, 3),
+        ):
+            with pytest.raises(ValueError, match="does not match host"):
+                is_free(g, pattern, spec)
 
 
 class TestOracleFrozenValues:
@@ -478,3 +484,8 @@ class TestComparisonReport:
         report = f_lower_report(g, PatternSpec.multipartite(2, 3), spec, num_trials=10)
         assert report.oracle.optimum == g.m - 1
         assert report.best_of_trials <= report.oracle.optimum
+
+    def test_rejects_side_one(self):
+        g, _ = complete_bipartite(2, 2)
+        with pytest.raises(ValueError, match="need pattern side r >= 2"):
+            f_lower_report(g, PatternSpec.krr(1), num_trials=1)

@@ -157,7 +157,7 @@ class TestGraphKernel:
 
     @staticmethod
     def _kernel_pairs(g: Hypergraph, r: int):
-        masks, labels = _copy_masks(g, r, None)
+        masks, labels, _size = _copy_masks(g, r, None, r)
         return [
             (A, tuple(labels[i] for i in range(mask.bit_length()) if mask >> i & 1))
             for (A,), mask in masks
@@ -318,7 +318,7 @@ class TestPartiteKernel:
         for g, spec in self.HOSTS:
             ks.add(g.k)
             for r in (1, 2, 3):
-                assert self._pairs(*_copy_masks(g, r, spec)) == brute_partite_masks(g, spec.parts, r, r)
+                assert self._pairs(*_copy_masks(g, r, spec, r)[:2]) == brute_partite_masks(g, spec.parts, r, r)
         assert ks == {2, 3, 4}
 
     def test_thresholds_and_orientations_match_referee(self):
@@ -715,6 +715,11 @@ class TestExtensions:
         g = Hypergraph.from_edges(2, 4, [(0, 1), (2, 3)])
         mtch = Matching(frozenset(g.edges))
         assert extensions_of_matching(g, mtch, 2) == []
+        # K_{2,2} without (0, 3): the matching's only candidate copy needs it.
+        g = Hypergraph.from_edges(2, 4, [(0, 2), (1, 2), (1, 3)])
+        mtch = Matching(frozenset({(0, 2), (1, 3)}))
+        assert extensions_of_matching(g, mtch, 2, PartitionSpec(((0, 1), (2, 3)))) == []
+        assert extensions_of_matching(g, mtch, 2) == []
 
     def test_rejects_invalid_matchings(self):
         g, _ = complete_bipartite(2, 2)
@@ -725,6 +730,10 @@ class TestExtensions:
         bad = Matching(frozenset({(0, 2), (0, 3)}))
         with pytest.raises(ValueError, match="disjoint"):
             extensions_of_matching(g, bad, 2)
+        for k in (1, 2, 3):
+            one_edge = Hypergraph.from_edges(k, k, [tuple(range(k))])
+            with pytest.raises(ValueError, match="matching size r must be >= 1"):
+                extensions_of_matching(one_edge, Matching(frozenset()), 0)
 
     def test_cap_over_corpus(self):
         for g in graph_corpus(30, max_n=8, seed=909):
@@ -800,17 +809,25 @@ class TestBounds:
 
 def test_kernels_do_not_import_numpy_ma():
     # numpy.ma (pulled in by np.unique, among others) adds megabytes of
-    # resident memory to every run that touches it.
+    # resident memory to every run that touches it; scipy and networkx are
+    # test-only, since the runtime depends on numpy alone.
     code = """
 import sys
-from krsfree import build_construction, complete_bipartite, count_copies, enumerate_copies, is_partite
+from krsfree import (
+    PatternSpec, build_construction, complete_bipartite, count_copies, count_matchings, enumerate_copies,
+    is_partite, max_free_subgraph,
+)
 g, spec = complete_bipartite(4, 5)
 h, hspec, _ = build_construction(2, 2, 3)
 for host, parts in ((g, spec), (h, hspec)):
     assert is_partite(host, parts)
     assert count_copies(host, 2) and count_copies(host, 2, parts)
     assert list(enumerate_copies(host, 2)) and list(enumerate_copies(host, 2, parts))
-assert "numpy.ma" not in sys.modules, "numpy.ma was imported"
+assert count_matchings(g, 2) and count_matchings(g, 3) and count_matchings(h, 2)
+for pattern in (PatternSpec.krr(2), PatternSpec.krs_either(2, 3)):
+    assert max_free_subgraph(g, pattern, spec, budget=2_000).optimum
+for name in ("numpy.ma", "scipy", "networkx"):
+    assert name not in sys.modules, f"{name} was imported"
 """
     env = dict(os.environ)
     env["PYTHONPATH"] = str(Path(__file__).resolve().parents[1] / "src")
