@@ -32,22 +32,23 @@ If the incumbent meets the bound, it is optimal and is returned with zero
 nodes explored.
 
 Otherwise a depth-first branch and bound over edge deletions runs on an
-explicit stack: branch on the surviving copy with the fewest deletable edges
-(ties broken lexicographically), children delete one edge each and freeze the
-earlier-tried ones, so a node whose least-key copy has no deletable edge gets
-no children. A greedy packing of edge-disjoint surviving copies gives an
-admissible lower bound on the deletions still needed. Each node keeps the
-copies of its parent's list that miss the deleted edge. The search stops as
-soon as its incumbent meets the root bound.
-A node budget caps it; if it runs out, the best subgraph found so far is
-returned with the optimality flag cleared, and upper_bound - optimum is how
-far from proven it is.
+explicit stack. Each node keeps the copies of its parent's list that miss the
+deleted edge, and a greedy packing of edge-disjoint surviving copies gives an
+admissible lower bound on the deletions still needed. Only a node that bound
+does not prune picks its branch copy: the surviving copy with the fewest
+deletable edges (ties broken lexicographically). Its children delete one edge
+each and freeze the earlier-tried ones, so a copy with no deletable edge gives
+no children. One test stops the search: the stack is empty, the incumbent
+meets the root bound, or the node budget is spent. In the last case the best
+subgraph found so far is returned with the optimality flag cleared, and
+upper_bound - optimum is how far from proven it is.
 """
 
 from __future__ import annotations
 
 from collections import Counter, defaultdict
 from dataclasses import dataclass
+from itertools import chain
 from math import comb, prod
 from typing import Callable, Iterator, Sequence
 
@@ -103,22 +104,23 @@ class PatternSpec:
 def iter_pattern_copies(
     g: Hypergraph, pattern: PatternSpec, spec: PartitionSpec | None = None
 ) -> Iterator[PatternCopy]:
-    """All copies of the pattern in g. Oversized patterns yield nothing."""
+    """An iterator over all copies of the pattern in g, its arguments checked at the call.
+
+    Oversized patterns yield nothing.
+    """
     if pattern.k != g.k:
         raise ValueError(f"pattern uniformity {pattern.k} does not match host {g.k}")
     if pattern.kind == KIND_KRR:
-        yield from enumerate_copies(g, pattern.r)
-        return
+        return enumerate_copies(g, pattern.r)
     if pattern.kind == KIND_MULTIPARTITE:
-        yield from enumerate_copies(g, pattern.r, spec)
-        return
+        return enumerate_copies(g, pattern.r, spec)
     if spec is None or spec.k != 2:
         raise ValueError("oriented biclique patterns need a bipartition of the host")
     orientations = [spec]
     if pattern.kind == KIND_KRS_EITHER:
         orientations.append(PartitionSpec(spec.parts[::-1]))
-    for parts in orientations:
-        yield from _completions(*_copy_masks(g, pattern.r, parts, pattern.s))
+    # A list, so that every orientation's partition check runs now.
+    return chain.from_iterable([_completions(*_copy_masks(g, pattern.r, parts, pattern.s)) for parts in orientations])
 
 
 def is_free(
@@ -316,17 +318,12 @@ def max_free_subgraph(
         if fewest <= floor:
             break
 
-    # Depth first over edge deletions, on an explicit stack so that a deep
-    # first dive cannot overflow the interpreter's recursion limit. Each entry
-    # is (parent's surviving copies, edge deleted last, deleted, frozen, depth);
-    # a node's children are pushed in reverse, so they pop lowest bit first.
+    # Depth first, on an explicit stack so that a deep first dive cannot
+    # overflow the interpreter's recursion limit. Each entry is (parent's
+    # surviving copies, edge deleted last, deleted, frozen, depth).
     nodes = 0
-    exhausted = False
     stack: list[tuple[list[int], int, int, int, int]] = [(copy_masks, 0, 0, 0, 0)]
-    while stack and fewest > floor:
-        if nodes >= budget:
-            exhausted = True
-            break
+    while stack and fewest > floor and nodes < budget:
         parent_intact, cut, deleted, kept, depth = stack.pop()
         nodes += 1
         intact = [c for c in parent_intact if not c & cut]
@@ -336,34 +333,26 @@ def max_free_subgraph(
             continue
         packed = 0
         packing = 0
-        branch_key = None
-        branch = 0
         for c in intact:
-            free_bits = c & ~kept
             if not c & packed:
                 packed |= c
                 packing += 1
-            key = (free_bits.bit_count(), c)
-            if branch_key is None or key < branch_key:
-                branch_key = key
-                branch = free_bits
-        # A copy frozen solid has the least key and no bit to branch on.
         if depth + packing < fewest:
-            children = []
-            tried = kept
+            # A copy frozen solid has the least key and no bit to branch on.
+            branch = min(intact, key=lambda c: ((c & ~kept).bit_count(), c)) & ~kept
+            # Pushed highest bit first, the children pop lowest bit first, and
+            # each freezes the lower bits its elder siblings delete.
             while branch:
-                bit = branch & -branch
+                bit = 1 << branch.bit_length() - 1
                 branch ^= bit
-                children.append((intact, bit, deleted | bit, tried, depth + 1))
-                tried |= bit
-            stack.extend(reversed(children))
+                stack.append((intact, bit, deleted | bit, kept | branch, depth + 1))
 
     witness_edges = frozenset(edges[i] for i in range(m) if best_kept >> i & 1)
     return OracleResult(
         optimum=m - fewest,
         witness=EdgeSubset(g, witness_edges),
         nodes_explored=nodes,
-        proof_of_optimality=not exhausted,
+        proof_of_optimality=not stack or fewest <= floor,
         upper_bound=upper_bound,
     )
 

@@ -370,16 +370,15 @@ def _matching_masks(g: Hypergraph, r: int) -> _Masks:
 
 
 def enumerate_matchings(g: Hypergraph, r: int) -> Iterator[Matching]:
-    """All r-edge matchings, in lexicographic order of their sorted edge lists."""
+    """All r-edge matchings, in lexicographic order of their sorted edge lists; r is checked at the call."""
     if r < 1:
         raise ValueError("matching size r must be >= 1")
     edges = g.sorted_edges()
-    for chosen, mask in _matching_masks(g, r):
-        prefix = [edges[i] for i in chosen]
-        while mask:
-            low = mask & -mask
-            mask ^= low
-            yield Matching(frozenset(prefix + [edges[low.bit_length() - 1]]))
+    return (
+        Matching(frozenset([*(edges[i] for i in chosen), last]))
+        for chosen, mask in _matching_masks(g, r)
+        for last in _members(mask, edges)
+    )
 
 
 def count_matchings(g: Hypergraph, r: int) -> int:

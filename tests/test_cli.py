@@ -456,6 +456,16 @@ class TestExitCodes:
         parts.write_text(self.ILL_FITTING_PARTS)
         return str(host), str(parts)
 
+    def test_count_without_a_host_is_usage_error(self, capsys):
+        code, out, err = run_cli(capsys, "count", "--r", "2")
+        assert code == EXIT_USAGE
+        assert out == ""
+        assert "--input" in err
+        code, out, err = run_cli(capsys, "count", "--construct", "--r", "2")
+        assert code == EXIT_USAGE
+        assert out == ""
+        assert "--k and --n" in err
+
     def test_oracle_budget_below_one_is_usage_error(self, capsys, k24_file):
         code, out, err = run_cli(capsys, "oracle", "--input", k24_file, "--r", "2", "--budget", "0")
         assert code == EXIT_USAGE

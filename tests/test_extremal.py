@@ -93,6 +93,8 @@ class TestUpperBound:
             theorem_upper_bound(27, 3, s=2)
         with pytest.raises(ValueError, match="r >= 2"):
             theorem_upper_bound(27, 1, k=3)
+        with pytest.raises(ValueError, match="k >= 2"):
+            theorem_upper_bound(10, 2, k=1)
         with pytest.raises(ValueError, match="m >= 0"):
             theorem_upper_bound(-1, 2, s=2)
 
@@ -173,6 +175,8 @@ class TestGeneralizedBinomial:
 
     def test_r_zero(self):
         assert generalized_binomial(Fraction(7, 3), 0) == 1
+        with pytest.raises(ValueError, match="r >= 0"):
+            generalized_binomial(Fraction(3), -1)
 
 
 class TestPropositionBound:
@@ -190,6 +194,10 @@ class TestPropositionBound:
     def test_rejects_small_a(self):
         with pytest.raises(ValueError, match="below"):
             proposition_lower_bound(Fraction(3, 2), [4, 4], 2)
+        with pytest.raises(ValueError, match="r >= 1"):
+            proposition_lower_bound(2, [4, 4], 0)
+        with pytest.raises(ValueError, match="at least one part size"):
+            proposition_lower_bound(2, [], 2)
 
     def test_bound_holds_on_complete_hosts(self):
         for sizes in ((3, 6), (4, 12), (2, 2, 4), (2, 3, 8)):
@@ -275,6 +283,9 @@ class TestCommonExtensions:
             common_extension_count_dS(g, spec, [(0, 1), (3,)])
         with pytest.raises(ValueError, match="inside part"):
             common_extension_count_dS(g, spec, [(0, 3), (3, 4)])
+        g, spec = complete_multipartite([3])
+        with pytest.raises(ValueError, match="k >= 2"):
+            common_extension_count_dS(g, spec, [])
 
 
 def _all_s_choices(spec, r):

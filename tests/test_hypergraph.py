@@ -146,6 +146,8 @@ class TestPartition:
     def test_rejects_overlapping_parts(self):
         with pytest.raises(ValueError, match="disjoint"):
             PartitionSpec(((0, 1), (1, 2)))
+        with pytest.raises(ValueError, match="not a sorted set"):
+            PartitionSpec(((1, 0),))
 
     def test_is_partite(self):
         g, spec = complete_bipartite(2, 3)
@@ -264,6 +266,12 @@ class TestBuilders:
         g, _ = complete_multipartite([4])
         assert g.edges == frozenset({(0,), (1,), (2,), (3,)})
 
+    def test_rejects_no_parts_and_negative_sizes(self):
+        with pytest.raises(ValueError, match="at least one part"):
+            complete_multipartite([])
+        with pytest.raises(ValueError, match="sizes must be >= 0"):
+            complete_multipartite([2, -1])
+
 
 class TestPackageSurface:
     PUBLIC_NAMES = """
@@ -335,6 +343,9 @@ class TestLink:
         g, spec = complete_multipartite([2, 3, 4])
         with pytest.raises(ValueError, match="last part"):
             link(g, spec, 0)
+        g, spec = complete_multipartite([3])
+        with pytest.raises(ValueError, match="k >= 2"):
+            link(g, spec, 0)
 
     def test_link_sizes_sum_to_edge_count(self):
         for g, spec in partite_corpus_small(25, seed=42):
@@ -354,6 +365,8 @@ class TestSampling:
         g, _ = complete_bipartite(2, 2)
         with pytest.raises(ValueError, match="outside"):
             bernoulli_edge_sample(g, 1.5, 0)
+        with pytest.raises(ValueError, match="seed"):
+            bernoulli_edge_sample(g, 0.5, -1)
 
     def test_deterministic_in_seed(self):
         g = random_graph(10, 0.6, random.Random(3))
@@ -452,6 +465,14 @@ class TestTextFormats:
         assert partition_from_text(partition_to_text(spec)) == spec
 
     def test_parse_errors(self):
+        with pytest.raises(ValueError, match="empty hypergraph"):
+            hypergraph_from_text("")
+        with pytest.raises(ValueError, match="non-integer header"):
+            hypergraph_from_text("2 x 1\n")
+        with pytest.raises(ValueError, match="empty partition"):
+            partition_from_text("")
+        with pytest.raises(ValueError, match="non-integer vertex in partition"):
+            partition_from_text("0 x\n")
         with pytest.raises(ValueError, match="header"):
             hypergraph_from_text("2 3\n")
         with pytest.raises(ValueError, match="promises"):

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import hashlib
 import random
 import time
 
@@ -37,6 +38,12 @@ from bruteforce import (
     mask_to_subset,
 )
 from corpus import disjoint_k33, graph_corpus, partite_host, random_graph
+
+
+def witness_digest(result: OracleResult) -> str:
+    """sha256 of the witness's sorted edges, one "u v" line each (bench/workloads.py's witness_sha256)."""
+    text = "".join(" ".join(map(str, e)) + "\n" for e in sorted(result.witness.edges))
+    return hashlib.sha256(text.encode()).hexdigest()
 
 
 def oracle_and_brute(g: Hypergraph, pattern: PatternSpec) -> tuple[OracleResult, int]:
@@ -82,6 +89,8 @@ class TestIsFree:
         assert not free
         with pytest.raises(ValueError, match="bipartition"):
             is_free(g, PatternSpec.krs_oriented(2, 3))
+        with pytest.raises(ValueError, match="bipartition"):
+            iter_pattern_copies(g, PatternSpec.krs_either(2, 3))
         g = Hypergraph.from_edges(2, 6, [(0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (4, 5)])
         # vertices 4 and 5 uncovered; then edge 0-1 inside a part
         for parts in (((0, 1), (2, 3)), ((0, 1, 4), (2, 3, 5))):
@@ -89,6 +98,8 @@ class TestIsFree:
             for pattern in (PatternSpec.krs_oriented(2, 2), PatternSpec.krs_either(2, 2)):
                 with pytest.raises(ValueError, match="not partite"):
                     is_free(g, pattern, spec)
+                with pytest.raises(ValueError, match="not partite"):
+                    iter_pattern_copies(g, pattern, spec)
                 with pytest.raises(ValueError, match="not partite"):
                     max_free_subgraph(g, pattern, spec)
 
@@ -131,6 +142,9 @@ class TestIsFree:
         ):
             with pytest.raises(ValueError, match="does not match host"):
                 is_free(g, pattern, spec)
+            # The bare call raises, before any copy is asked for.
+            with pytest.raises(ValueError, match="does not match host"):
+                iter_pattern_copies(g, pattern, spec)
 
 
 class TestOracleFrozenValues:
@@ -328,6 +342,31 @@ class TestRootBound:
         assert not result.proof_of_optimality and result.nodes_explored == 5_000
         assert result.upper_bound - result.optimum > 0
         assert len(result.witness.edges) == result.optimum
+        assert (result.optimum, result.upper_bound) == (1_828, 3_060)
+        assert witness_digest(result) == "55504f619083d16018ed2d3414b9a043ed98196ddb8663c692073a0551be79c0"
+
+    @pytest.mark.parametrize("g,pattern,budget,optimum,upper_bound,digest", [
+        pytest.param(
+            complete_bipartite(8, 8)[0], PatternSpec.krr(2), 30_000, 24, 25,
+            "2001a7199a871999348ce094a412d928ddc2bf41fd9d42df9d5791592dda694e", id="K8_8",
+        ),
+        pytest.param(
+            disjoint_k33(100), PatternSpec.krr(2), 5_000, 546, 900,
+            "0ecc37716064a47c7ef6e8078dda52255934ba7bc8611315458edc977a062bcf", id="100xK3_3",
+        ),
+        pytest.param(
+            build_construction(2, 2, 3)[0], PatternSpec.multipartite(2, 3), 3_000, 85, 128,
+            "956baf4c7498c7292192a0a645efded820c5e6e1ffd24a4545ed1ee16c5c5b7c", id="c2_2_3-unordered",
+        ),
+    ])
+    def test_budgeted_search_path_is_frozen(self, g, pattern, budget, optimum, upper_bound, digest):
+        # Where the search stands when its budget runs out pins the order it
+        # visits nodes in, not only the optimum it would reach.
+        result = max_free_subgraph(g, pattern, budget=budget)
+        assert (result.optimum, result.nodes_explored, result.proof_of_optimality, result.upper_bound) == (
+            optimum, budget, False, upper_bound,
+        )
+        assert witness_digest(result) == digest
 
     @pytest.mark.parametrize("n", sorted(ZARANKIEWICZ))
     def test_zarankiewicz_table_closes_at_the_root(self, n):

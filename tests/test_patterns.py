@@ -97,6 +97,10 @@ class TestExponent:
         for r in range(1, 8):
             assert pattern_exponent(r, 2) == r + 1
 
+    def test_rejects_side_below_one(self):
+        with pytest.raises(ValueError, match="r >= 1"):
+            pattern_exponent(0, 2)
+
 
 class TestGraphCopies:
     def test_k22_is_a_single_copy(self):
@@ -108,6 +112,13 @@ class TestGraphCopies:
     def test_k33_has_nine_copies(self):
         g, _ = complete_bipartite(3, 3)
         assert count_copies(g, 2) == 9
+
+    def test_rejects_side_below_one(self):
+        g, _ = complete_bipartite(2, 2)
+        with pytest.raises(ValueError, match="r must be >= 1"):
+            count_copies(g, 0)
+        with pytest.raises(ValueError, match="r must be >= 1"):
+            enumerate_copies(g, 0)
 
     def test_k24_has_six_copies(self):
         g, _ = complete_bipartite(2, 4)
@@ -625,6 +636,14 @@ class TestMatchings:
         for g in graph_corpus(20, seed=606):
             assert count_matchings(g, 1) == g.m
 
+    def test_rejects_size_below_one_at_the_call(self):
+        g, _ = complete_bipartite(2, 2)
+        with pytest.raises(ValueError, match="matching size r must be >= 1"):
+            count_matchings(g, 0)
+        # Not on the first next(): the bare call raises.
+        with pytest.raises(ValueError, match="matching size r must be >= 1"):
+            enumerate_matchings(g, 0)
+
     def test_matches_brute_force(self):
         for g in graph_corpus(50, max_n=8, seed=707):
             for r in (2, 3):
@@ -805,6 +824,12 @@ class TestBounds:
         for g in graph_corpus(40, seed=555):
             for r in (2, 3):
                 assert count_matchings(g, r) <= comb(g.m, r)
+
+    def test_rejects_negative_edge_counts(self):
+        with pytest.raises(ValueError, match="m >= 0"):
+            copy_count_upper_bound(-1, 2, 2)
+        with pytest.raises(ValueError, match="m >= 0"):
+            copy_count_upper_bound_relaxed(-1, 2)
 
 
 def test_kernels_do_not_import_numpy_ma():

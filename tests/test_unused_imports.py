@@ -1,4 +1,4 @@
-"""Every imported name in the package and the tests is used."""
+"""Every imported name in the package and the tests is used, and so is every local in the package."""
 
 from __future__ import annotations
 
@@ -32,11 +32,49 @@ def unused_imports(source: str) -> list[str]:
     return sorted(f"{name} (line {line})" for name, line in imported.items() if name not in used)
 
 
+def unused_locals(source: str) -> list[str]:
+    """Names assigned in a function and read nowhere in it; names starting with _ are exempt."""
+    unused = set()
+    for func in ast.walk(ast.parse(source)):
+        if not isinstance(func, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            continue
+        stored, read = {}, set()
+        for node in ast.walk(func):
+            if isinstance(node, (ast.Global, ast.Nonlocal)):
+                read.update(node.names)
+            elif isinstance(node, ast.Name) and isinstance(node.ctx, ast.Store):
+                stored.setdefault(node.id, node.lineno)
+            elif isinstance(node, ast.Name):
+                read.add(node.id)
+        unused.update((line, name) for name, line in stored.items() if name not in read and name[0] != "_")
+    return [f"{name} (line {line})" for line, name in sorted(unused)]
+
+
 def test_the_check_sees_an_unused_name():
     source = "import os\nimport numpy as np\nfrom x import a, b\nprint(np.pi, a)\n"
     assert unused_imports(source) == ["b (line 3)", "os (line 1)"]
 
 
+def test_the_check_sees_an_unused_local():
+    source = (
+        "def f(a):\n"
+        "    used, dead = a\n"
+        "    _exempt = 1\n"
+        "    for i, x in enumerate(a):\n"
+        "        total = x\n"
+        "    def g():\n"
+        "        return used\n"
+        "    return g\n"
+    )
+    assert unused_locals(source) == ["dead (line 2)", "i (line 4)", "total (line 5)"]
+
+
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: f"{p.parent.name}/{p.name}")
 def test_no_unused_imports(path):
     assert unused_imports(path.read_text(encoding="utf-8")) == []
+
+
+# Tests unpack tuples into names they do not read, so only the package is held to this.
+@pytest.mark.parametrize("path", sorted((ROOT / "src" / "krsfree").glob("*.py")), ids=lambda p: p.name)
+def test_no_unused_locals(path):
+    assert unused_locals(path.read_text(encoding="utf-8")) == []
