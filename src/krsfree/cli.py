@@ -20,6 +20,7 @@ from collections.abc import Callable
 from contextlib import contextmanager
 
 from .deletion import (
+    EDGE_CHOICE_POLICIES,
     _fmt_float,
     deletion_params,
     reports_to_csv,
@@ -349,7 +350,7 @@ def build_parser() -> _Parser:
     _add_input_flags(p)
     p.add_argument("--seed", type=_at_least(0), default=0)
     p.add_argument("--trials", type=_at_least(1), default=1)
-    p.add_argument("--policy", choices=["lex", "random", "greedy"], default="lex")
+    p.add_argument("--policy", choices=EDGE_CHOICE_POLICIES, default="lex")
     p.add_argument("--out", metavar="PATH", help="output prefix")
     p.set_defaults(func=cmd_extract)
 

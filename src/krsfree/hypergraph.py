@@ -224,25 +224,25 @@ def link(g: Hypergraph, spec: PartitionSpec, x: int) -> tuple[Hypergraph, Partit
     return link_g, link_spec
 
 
-def _sample_with_rng(g: Hypergraph, p: float, rng: np.random.Generator) -> EdgeSubset:
-    """Keep each edge independently with probability p, consuming one uniform per edge.
+def _sample(g: Hypergraph, p: float, seed: int) -> tuple[EdgeSubset, np.random.Generator]:
+    """Keep each edge independently with probability p; return the sample and its generator.
 
-    Draws happen in sorted edge order, which is what makes the sample a pure
-    function of (g, p, generator state).
+    The one seed-to-sample map: a PCG64 generator seeded with seed draws one uniform per
+    edge in sorted edge order, so the sample is a pure function of (g, p, seed).
     """
-    order = g._sorted_order
-    kept = np.flatnonzero(rng.random(len(order)) < p)
-    return EdgeSubset(g, frozenset(order[i] for i in kept.tolist()))
-
-
-def bernoulli_edge_sample(g: Hypergraph, p: float, seed: int) -> EdgeSubset:
-    """Deterministic Bernoulli(p) edge sample: same (g, p, seed) gives the same subset."""
     if not 0.0 <= p <= 1.0:
         raise ValueError(f"retention probability p={p} outside [0, 1]")
     if seed < 0:
         raise ValueError("seed must be a non-negative integer")
     rng = np.random.Generator(np.random.PCG64(seed))
-    return _sample_with_rng(g, p, rng)
+    order = g._sorted_order
+    kept = np.flatnonzero(rng.random(len(order)) < p)
+    return EdgeSubset(g, frozenset(order[i] for i in kept.tolist())), rng
+
+
+def bernoulli_edge_sample(g: Hypergraph, p: float, seed: int) -> EdgeSubset:
+    """Deterministic Bernoulli(p) edge sample: same (g, p, seed) gives the same subset."""
+    return _sample(g, p, seed)[0]
 
 
 def hypergraph_to_text(g: Hypergraph) -> str:

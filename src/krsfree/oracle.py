@@ -205,26 +205,26 @@ def _kst_bound(caps: list[int], sizes: Sequence[int], r: int, s: int) -> int:
     and F is _link_floor over those parts. At k = 2 this is the
     Kővári–Sós–Turán count sum C(d_x, r) <= (s - 1) C(|U|, r). Raising d_x
     from d to d + 1 costs F(d + 1) - F(d), which never falls as d grows, so
-    taking the cheapest raises first is optimal. All raises from level d cost
-    the same, so they are taken a level at a time.
+    taking the cheapest raises first is optimal. Bisection finds the highest
+    level all d_x reach, or their caps; the rest lifts as many as it pays for.
     """
     budget = (s - 1) * prod(comb(a, r) for a in sizes)
-    caps = sorted(caps, reverse=True)
-    total = 0
-    d = 0
-    below = 0  # F(0): no edges, no copies
-    while True:
-        while caps and caps[-1] <= d:
-            caps.pop()
-        above = _link_floor(d + 1, sizes, r)
-        cost = above - below
-        take = len(caps) if cost == 0 else min(len(caps), budget // cost)
-        total += take
-        if take < len(caps) or not caps:
-            return total
-        budget -= take * cost
-        d += 1
-        below = above
+    count = Counter(caps)
+
+    def spent(level: int) -> int:
+        return sum(n * _link_floor(min(c, level), sizes, r) for c, n in count.items())
+
+    low, high = 0, max(caps, default=0)  # spent(0) = 0: no edges, no copies
+    while low < high:
+        mid = (low + high + 1) // 2
+        low, high = (mid, high) if spent(mid) <= budget else (low, mid - 1)
+    above = sum(n for c, n in count.items() if c > low)
+    total = sum(n * min(c, low) for c, n in count.items())
+    if not above:
+        return total
+    # Positive: were it 0, spent(low + 1) = spent(low) would fit the budget.
+    step = _link_floor(low + 1, sizes, r) - _link_floor(low, sizes, r)
+    return total + min(above, (budget - spent(low)) // step)
 
 
 def _root_bound(g: Hypergraph, pattern: PatternSpec, spec: PartitionSpec | None) -> int:
@@ -347,7 +347,8 @@ def max_free_subgraph(
                 branch ^= bit
                 stack.append((intact, bit, deleted | bit, kept | branch, depth + 1))
 
-    witness_edges = frozenset(edges[i] for i in range(m) if best_kept >> i & 1)
+    # bin() writes the highest bit first; reversed, its characters line up with edges.
+    witness_edges = frozenset(e for e, bit in zip(edges, bin(best_kept)[:1:-1]) if bit == "1")
     return OracleResult(
         optimum=m - fewest,
         witness=EdgeSubset(g, witness_edges),

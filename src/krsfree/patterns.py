@@ -428,39 +428,25 @@ def extensions_of_matching(
         raise ValueError(f"matching has {len(edges)} edges, expected r={r}")
     if not matching.edges <= g.edges:
         raise ValueError("matching contains edges not present in the hypergraph")
-    seen: set[int] = set()
-    for e in edges:
-        if seen.intersection(e):
-            raise ValueError("matching edges are not pairwise disjoint")
-        seen.update(e)
-    k = g.k
+    vertices = set(matching.vertices())
+    if len(vertices) != r * g.k:
+        raise ValueError("matching edges are not pairwise disjoint")
 
     if spec is not None:
         require_partite(g, spec)
-        pmap = spec.part_index()
-        parts: list[list[int]] = [[] for _ in range(k)]
-        for e in edges:
-            for v in e:
-                parts[pmap[v]].append(v)
-        copy = PatternCopy(tuple(tuple(sorted(p)) for p in parts))
-        if all(e in g.edges for e in copy.edge_set()):
-            return [copy]
-        return []
-
-    # Without a partition: assign each edge's k vertices bijectively to the k
-    # parts. Pinning the first edge to the identity assignment picks one
-    # representative per unordered copy.
-    base = edges[0]
-    results = []
-    for assignment in product(permutations(range(k)), repeat=r - 1):
-        parts = [[base[i]] for i in range(k)]
-        for j, perm in enumerate(assignment, start=1):
-            for pos, v in enumerate(edges[j]):
-                parts[perm[pos]].append(v)
-        candidate = PatternCopy(tuple(sorted((tuple(sorted(p)) for p in parts), key=lambda t: t[0])))
-        if all(e in g.edges for e in candidate.edge_set()):
-            results.append(candidate)
-    return results
+        candidates = [tuple(tuple(v for v in part if v in vertices) for part in spec.parts)]
+    else:
+        # Assign each edge's k vertices bijectively to the k parts: a later
+        # edge's permutation sends its j-th vertex to part perm[j]. Pinning the
+        # first edge to the identity picks one representative per unordered copy.
+        base, *rest = edges
+        candidates = []
+        for assignment in product(permutations(range(g.k)), repeat=r - 1):
+            parts = [[v] for v in base]
+            for v, i in zip(chain.from_iterable(rest), chain.from_iterable(assignment)):
+                parts[i].append(v)
+            candidates.append(tuple(sorted((tuple(sorted(p)) for p in parts), key=lambda t: t[0])))
+    return [c for c in map(PatternCopy, candidates) if c.edge_set() <= g.edges]
 
 
 def _copy_masks(g: Hypergraph, r: int, spec: PartitionSpec | None, s: int) -> tuple[_Masks, Sequence[int], int]:

@@ -8,6 +8,7 @@ import io
 import json
 import math
 import time
+from itertools import product
 
 import pytest
 
@@ -122,12 +123,17 @@ class TestExtract:
             assert rep.generator == GENERATOR_ID
 
     def test_output_nested_in_sample(self):
-        g, _ = complete_bipartite(4, 4)
+        # The run draws its sample through bernoulli_edge_sample's seed-to-sample
+        # map, at the default p as well as a given one, under every policy.
         from krsfree import bernoulli_edge_sample
 
-        sub, rep = extract_free_subgraph(g, 2, seed=5, p=0.6)
-        sample = bernoulli_edge_sample(g, 0.6, 5)
-        assert sub.edges <= sample.edges <= g.edges
+        hosts = [complete_bipartite(4, 4), build_construction(3, 2, 2)[:2], build_construction(2, 2, 3)[:2]]
+        for g, parts in hosts:
+            for spec, policy, p, seed in product((None, parts), EDGE_CHOICE_POLICIES, (None, 0.6), (0, 1, 2, 5)):
+                sub, rep = extract_free_subgraph(g, 2, seed, spec, policy, p)
+                sample = bernoulli_edge_sample(g, rep.p, seed)
+                assert rep.edges_sampled == sample.m
+                assert sub.edges <= sample.edges <= g.edges
 
     def test_freeness_absolute_over_corpus(self):
         for g in graph_corpus(40, max_n=9, seed=616):
@@ -182,6 +188,11 @@ class TestExtract:
             extract_free_subgraph(g, 2, seed=-1)
         with pytest.raises(ValueError, match="outside"):
             extract_free_subgraph(g, 2, seed=0, p=1.0001)
+        with pytest.raises(ValueError, match="outside"):
+            extract_free_subgraph(g, 2, seed=0, p=-0.1)
+        # p is checked before the seed, as bernoulli_edge_sample does.
+        with pytest.raises(ValueError, match="outside"):
+            extract_free_subgraph(g, 2, seed=-1, p=1.5)
 
 
 class TestRunTrials:

@@ -365,6 +365,8 @@ class TestSampling:
         g, _ = complete_bipartite(2, 2)
         with pytest.raises(ValueError, match="outside"):
             bernoulli_edge_sample(g, 1.5, 0)
+        with pytest.raises(ValueError, match="outside"):
+            bernoulli_edge_sample(g, -0.1, 0)
         with pytest.raises(ValueError, match="seed"):
             bernoulli_edge_sample(g, 0.5, -1)
 

@@ -305,6 +305,20 @@ class TestRootBound:
         assert _root_bound(complete_bipartite(2, 4)[0], PatternSpec.krr(2), None) == 5
         assert _root_bound(build_construction(3, 2, 2)[0], PatternSpec.krr(2), None) == 12
 
+    def test_kst_cap_does_not_walk_every_degree_level(self, monkeypatch):
+        # A 10,000-leaf star plus a disjoint K_{2,2}: raising the star's centre
+        # one degree level at a time took 30,012 link-floor calls.
+        from krsfree import oracle
+
+        calls = []
+        floor = oracle._link_floor
+        monkeypatch.setattr(oracle, "_link_floor", lambda *a: calls.append(a) or floor(*a))
+        edges = [(0, leaf) for leaf in range(1, 10_001)]
+        edges += [(10_001, 10_003), (10_001, 10_004), (10_002, 10_003), (10_002, 10_004)]
+        g = Hypergraph.from_edges(2, 10_005, edges)
+        assert _root_bound(g, PatternSpec.krr(2), None) == 10_004
+        assert len(calls) < 300
+
     def test_kgraph_bound_is_at_least_the_optimum(self):
         rng = random.Random(2014)
         shapes = [(2, 2, 3), (2, 3, 2), (3, 2, 2), (2, 2, 4), (2, 3, 3), (2, 2, 2, 2), (2, 2, 2, 3)]

@@ -1,4 +1,4 @@
-"""Every imported name in the package and the tests is used, and so is every local in the package."""
+"""Every imported name in the package and the tests is used, and so is every local and private definition in the package."""
 
 from __future__ import annotations
 
@@ -8,6 +8,7 @@ from pathlib import Path
 import pytest
 
 ROOT = Path(__file__).resolve().parents[1]
+PACKAGE = sorted((ROOT / "src" / "krsfree").glob("*.py"))
 # __init__.py re-exports what it imports.
 MODULES = sorted(
     p
@@ -50,6 +51,31 @@ def unused_locals(source: str) -> list[str]:
     return [f"{name} (line {line})" for line, name in sorted(unused)]
 
 
+def unused_private_definitions(sources: dict[str, str]) -> list[str]:
+    """Module-level defs and classes named _x that no module names outside the definition itself.
+
+    sources maps module names to their text. A name counts as used when it is
+    read as a name, as an attribute or in an import.
+    """
+    defined, used = [], set()
+    for module, source in sources.items():
+        for stmt in ast.parse(source).body:
+            names = set()
+            for node in ast.walk(stmt):
+                if isinstance(node, ast.Name):
+                    names.add(node.id)
+                elif isinstance(node, ast.Attribute):
+                    names.add(node.attr)
+                elif isinstance(node, ast.alias):
+                    names.add(node.name)
+            if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                names.discard(stmt.name)  # recursion is not a use
+                if stmt.name.startswith("_") and not stmt.name.startswith("__"):
+                    defined.append((module, stmt.lineno, stmt.name))
+            used |= names
+    return [f"{module}.{name} (line {line})" for module, line, name in sorted(defined) if name not in used]
+
+
 def test_the_check_sees_an_unused_name():
     source = "import os\nimport numpy as np\nfrom x import a, b\nprint(np.pi, a)\n"
     assert unused_imports(source) == ["b (line 3)", "os (line 1)"]
@@ -69,12 +95,34 @@ def test_the_check_sees_an_unused_local():
     assert unused_locals(source) == ["dead (line 2)", "i (line 4)", "total (line 5)"]
 
 
+def test_the_check_sees_an_unused_private_definition():
+    sources = {
+        "a": (
+            "def _dead(n):\n"
+            "    return _dead(n - 1)\n"
+            "def _called():\n"
+            "    pass\n"
+            "class _Read:\n"
+            "    pass\n"
+            "def __getattr__(name):\n"
+            "    return _called()\n"
+        ),
+        "b": "from a import _imported\nimport a\nprint(a._Read)\n",
+        "c": "def _imported():\n    pass\nclass _Unread:\n    pass\n",
+    }
+    assert unused_private_definitions(sources) == ["a._dead (line 1)", "c._Unread (line 3)"]
+
+
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: f"{p.parent.name}/{p.name}")
 def test_no_unused_imports(path):
     assert unused_imports(path.read_text(encoding="utf-8")) == []
 
 
 # Tests unpack tuples into names they do not read, so only the package is held to this.
-@pytest.mark.parametrize("path", sorted((ROOT / "src" / "krsfree").glob("*.py")), ids=lambda p: p.name)
+@pytest.mark.parametrize("path", PACKAGE, ids=lambda p: p.name)
 def test_no_unused_locals(path):
     assert unused_locals(path.read_text(encoding="utf-8")) == []
+
+
+def test_no_unused_private_definitions():
+    assert unused_private_definitions({p.stem: p.read_text(encoding="utf-8") for p in PACKAGE}) == []
