@@ -14,7 +14,7 @@ Two ingredients are shown directly:
     the copy count.
 """
 
-from itertools import combinations, product
+from itertools import combinations
 
 from math import comb
 

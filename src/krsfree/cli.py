@@ -21,6 +21,7 @@ from contextlib import contextmanager
 
 from .deletion import (
     EDGE_CHOICE_POLICIES,
+    REPORT_CSV_COLUMNS,
     _fmt_float,
     deletion_params,
     reports_to_csv,
@@ -342,9 +343,8 @@ def build_parser() -> _Parser:
         help="run seeded sparsify-then-delete trials",
         description=(
             "Runs --trials extractions with per-trial seeds derived from --seed. "
-            "With --out, writes OUT.csv (one row per trial, columns: trial, seed, p, "
-            "edges_sampled, copies_found, edges_deleted, final_size, freeness_verified, "
-            "generator, policy) and OUT.json (summary, schema v1). Reruns are byte-identical."
+            f"With --out, writes OUT.csv (one row per trial, columns: {', '.join(REPORT_CSV_COLUMNS)}) "
+            "and OUT.json (summary, schema v1). Reruns are byte-identical."
         ),
     )
     _add_input_flags(p)

@@ -272,26 +272,20 @@ def _fmt_float(x: float) -> str:
     return f"{x:.12g}"
 
 
+def _csv_value(value):
+    """A bool as true/false, a float through _fmt_float, anything else as it is."""
+    if isinstance(value, bool):
+        return str(value).lower()
+    return _fmt_float(value) if isinstance(value, float) else value
+
+
 def reports_to_csv(reports: tuple[DeletionRunReport, ...] | list[DeletionRunReport]) -> str:
     """One CSV row per trial, columns REPORT_CSV_COLUMNS, LF line endings."""
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(REPORT_CSV_COLUMNS)
     for i, rep in enumerate(reports):
-        writer.writerow(
-            [
-                i,
-                rep.seed,
-                _fmt_float(rep.p),
-                rep.edges_sampled,
-                rep.copies_found,
-                rep.edges_deleted,
-                rep.final_size,
-                str(rep.freeness_verified).lower(),
-                rep.generator,
-                rep.policy,
-            ]
-        )
+        writer.writerow([i, *(_csv_value(getattr(rep, name)) for name in REPORT_CSV_COLUMNS[1:])])
     return buf.getvalue()
 
 
@@ -304,14 +298,7 @@ def _json_fields(record: DeletionRunReport | TrialSummary) -> dict:
     return out
 
 
-def report_to_json_dict(report: DeletionRunReport) -> dict:
-    return {"schema": "v1", **_json_fields(report)}
-
-
-def summary_to_json_dict(summary: TrialSummary) -> dict:
-    reports = [_json_fields(rep) for rep in summary.reports]
-    return {"schema": "v1", **_json_fields(summary), "reports": reports}
-
-
 def summary_to_json(summary: TrialSummary) -> str:
-    return json.dumps(summary_to_json_dict(summary), indent=2, sort_keys=True) + "\n"
+    reports = [_json_fields(rep) for rep in summary.reports]
+    payload = {"schema": "v1", **_json_fields(summary), "reports": reports}
+    return json.dumps(payload, indent=2, sort_keys=True) + "\n"

@@ -114,10 +114,6 @@ class PartitionSpec:
     def k(self) -> int:
         return len(self.parts)
 
-    def part_index(self) -> dict[int, int]:
-        """Map each vertex to the index of the part containing it."""
-        return {v: i for i, part in enumerate(self.parts) for v in part}
-
     @cached_property
     def _labels(self) -> np.ndarray:
         # Part index of each vertex; is_partite first checks the parts cover [0, total).

@@ -17,11 +17,12 @@ incumbent:
     (s - 1) prod_{i<k} C(|U_i|, r). A convex floor F(d) on the copies of a
     d-edge link turns that into a cap on sum_x d_x (greedy by marginal cost,
     d_x capped at x's host degree). At k = 2, F(d) = C(d, r) and the count is
-    sum_w C(d_w, r) <= (s - 1) C(|U|, r). krr uses a BFS 2-colouring of the
-    host and takes the smaller bound of its two orientations; krs_oriented
-    and the anchored multipartite pattern use the given parts in order, and
-    krs_either the smaller of both orientations. A non-bipartite krr host and
-    the unordered multipartite pattern get no bound, which is reported as m.
+    sum_w C(d_w, r) <= (s - 1) C(|U|, r). krr, and the unordered multipartite
+    pattern on a graph, use a BFS 2-colouring of the host and take the smaller
+    bound of its two orientations; krs_oriented and the anchored multipartite
+    pattern use the given parts in order, and krs_either the smaller of both
+    orientations. A non-bipartite host without a partition and the unordered
+    multipartite pattern at k >= 3 get no bound, which is reported as m.
   * The incumbent comes from seeded insertion: the edges are added in the
     order of an np.random.default_rng(0) permutation, each unless some copy
     through it would become complete. With a bound below m, the passes
@@ -46,6 +47,7 @@ upper_bound - optimum is how far from proven it is.
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from collections import Counter, defaultdict
 from dataclasses import dataclass
 from itertools import chain
@@ -214,10 +216,8 @@ def _kst_bound(caps: list[int], sizes: Sequence[int], r: int, s: int) -> int:
     def spent(level: int) -> int:
         return sum(n * _link_floor(min(c, level), sizes, r) for c, n in count.items())
 
-    low, high = 0, max(caps, default=0)  # spent(0) = 0: no edges, no copies
-    while low < high:
-        mid = (low + high + 1) // 2
-        low, high = (mid, high) if spent(mid) <= budget else (low, mid - 1)
+    # spent(0) = 0 (no edges, no copies), so low >= 0.
+    low = bisect_right(range(max(caps, default=0) + 1), budget, key=spent) - 1
     above = sum(n for c, n in count.items() if c > low)
     total = sum(n * min(c, low) for c, n in count.items())
     if not above:
@@ -237,10 +237,11 @@ def _root_bound(g: Hypergraph, pattern: PatternSpec, spec: PartitionSpec | None)
     least _link_floor(d_x), so _kst_bound caps sum d_x, with d_x at most x's
     host degree and U_i counting only vertices with edges. A K_{r,r} copy in a
     bipartite host has its sides in opposite colour classes of any
-    2-colouring, so krr needs no partition. A non-bipartite krr host and the
-    unordered multipartite pattern get no bound.
+    2-colouring, so krr and the unordered multipartite pattern on a graph,
+    which enumerate the same copies, need no partition. A non-bipartite host
+    and the unordered multipartite pattern at k >= 3 get no bound.
     """
-    if pattern.kind == KIND_KRR:
+    if pattern.kind == KIND_KRR or spec is None and g.k == 2:
         sides = _two_colouring(g)
         if sides is None:
             return g.m

@@ -357,11 +357,8 @@ def _matching_masks(g: Hypergraph, r: int) -> _Masks:
         if len(chosen) == r - 1:
             yield chosen, allowed
             return
-        while allowed:
-            low = allowed & -allowed
-            allowed ^= low
-            i = low.bit_length() - 1
-            later = allowed
+        for i in _members(allowed, range(len(edges))):
+            later = allowed & -(2 << i)
             for v in edges[i]:
                 later &= ~touching[v,]
             yield from grow(chosen + (i,), later)

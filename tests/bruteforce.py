@@ -146,7 +146,7 @@ def brute_is_partite(g: Hypergraph, spec: PartitionSpec) -> bool:
     covered = [v for part in spec.parts for v in part]
     if len(covered) != g.n or set(covered) != set(range(g.n)):
         return False
-    pmap = spec.part_index()
+    pmap = {v: i for i, part in enumerate(spec.parts) for v in part}
     expect = list(range(g.k))
     for e in g.edges:
         if sorted(pmap[v] for v in e) != expect:

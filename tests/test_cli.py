@@ -20,6 +20,7 @@ from krsfree.cli import (
     EXIT_USAGE,
     main,
 )
+from krsfree.deletion import REPORT_CSV_COLUMNS
 
 from corpus import disjoint_k33
 
@@ -650,6 +651,13 @@ class TestParserBehaviour:
         out = capsys.readouterr().out
         assert "construct" in out and "oracle" in out
         assert "Exit codes" in out
+
+    def test_extract_help_names_the_csv_columns(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["extract", "--help"])
+        assert exc.value.code == 0
+        # argparse rewraps the description, so compare with the line breaks folded.
+        assert ", ".join(REPORT_CSV_COLUMNS) in " ".join(capsys.readouterr().out.split())
 
     def test_console_script_installed(self, tmp_path):
         # An install writes a `krsfree` launcher for the entry point in

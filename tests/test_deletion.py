@@ -27,7 +27,7 @@ from krsfree import (
     run_trials,
     summary_to_json,
 )
-from krsfree.deletion import EDGE_CHOICE_POLICIES, REPORT_CSV_COLUMNS, report_to_json_dict
+from krsfree.deletion import EDGE_CHOICE_POLICIES, REPORT_CSV_COLUMNS
 
 from corpus import graph_corpus, kgraph_corpus
 
@@ -292,8 +292,7 @@ class TestSerialization:
 
     def test_report_json_dict_fields(self):
         g, _ = complete_bipartite(2, 2)
-        _, rep = extract_free_subgraph(g, 2, seed=1, p=1.0)
-        d = report_to_json_dict(rep)
+        d = json.loads(summary_to_json(run_trials(g, 2, num_trials=1, base_seed=1, p=1.0)))["reports"][0]
         for key in REPORT_CSV_COLUMNS[1:]:
             assert key in d
         assert d["freeness_verified"] is True

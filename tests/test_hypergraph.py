@@ -228,7 +228,7 @@ class TestPartition:
             # two vertices in that part and misses e[j]'s.
             e = rng.choice(g.sorted_edges())
             i, j = rng.sample(range(g.k), 2)
-            part_of = spec.part_index()
+            part_of = {v: p for p, part in enumerate(spec.parts) for v in part}
             twin = [v for v in spec.parts[part_of[e[i]]] if v not in e]
             if not twin:
                 continue

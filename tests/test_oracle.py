@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import hashlib
+import math
 import random
 import time
 
@@ -25,6 +26,8 @@ from krsfree.oracle import (
     KIND_KRR,
     KIND_KRS_EITHER,
     KIND_MULTIPARTITE,
+    _kst_bound,
+    _link_floor,
     _root_bound,
     iter_pattern_copies,
 )
@@ -318,6 +321,50 @@ class TestRootBound:
         g = Hypergraph.from_edges(2, 10_005, edges)
         assert _root_bound(g, PatternSpec.krr(2), None) == 10_004
         assert len(calls) < 300
+
+    def test_unordered_graph_pattern_gets_the_colouring_bound(self):
+        # multipartite(r, 2) without a partition enumerates krr(r)'s copies, so
+        # a 2-colouring of a bipartite host bounds it the same way.
+        g, _ = complete_bipartite(4, 16)
+        unordered = max_free_subgraph(g, PatternSpec.multipartite(2, 2), budget=200_000)
+        assert unordered == max_free_subgraph(g, PatternSpec.krr(2), budget=200_000)
+        assert (unordered.optimum, unordered.proof_of_optimality, unordered.nodes_explored) == (22, True, 0)
+        assert unordered.upper_bound == 22
+        rng = random.Random(1919)
+        below_m = 0
+        for _ in range(40):
+            g, _ = partite_host((rng.randint(2, 6), rng.randint(2, 8)), rng.uniform(0.3, 1.0), rng)
+            r = rng.choice((2, 3))
+            bound = _root_bound(g, PatternSpec.multipartite(r, 2), None)
+            assert bound == _root_bound(g, PatternSpec.krr(r), None)
+            below_m += bound < g.m
+        assert below_m >= 20
+
+    def test_kst_bound_is_the_cheapest_raises_first(self):
+        # Referee: raise the d_x whose next degree costs least, one at a time,
+        # while the budget (s - 1) prod C(a, r) still pays for it.
+        def greedy(caps, sizes, r, s):
+            budget = (s - 1) * math.prod(math.comb(a, r) for a in sizes)
+            degrees = [0] * len(caps)
+            while True:
+                cost, x = min(
+                    ((_link_floor(d + 1, sizes, r) - _link_floor(d, sizes, r), x)
+                     for x, d in enumerate(degrees) if d < caps[x]),
+                    default=(None, None),
+                )
+                if cost is None or cost > budget:
+                    return sum(degrees)
+                budget -= cost
+                degrees[x] += 1
+
+        rng = random.Random(600)
+        for _ in range(600):
+            k = rng.randint(2, 4)
+            sizes = [rng.randint(0, 6) for _ in range(k - 1)]
+            caps = [rng.randint(0, 20) for _ in range(rng.randint(0, 7))]
+            r = rng.randint(1, 3)
+            s = rng.randint(r, r + 2)
+            assert _kst_bound(caps, sizes, r, s) == greedy(caps, sizes, r, s)
 
     def test_kgraph_bound_is_at_least_the_optimum(self):
         rng = random.Random(2014)

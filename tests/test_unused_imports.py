@@ -1,4 +1,4 @@
-"""Every imported name in the package and the tests is used, and so is every local and private definition in the package."""
+"""Every imported name in the package, the tests and the demos is used, and so is every local and private definition in the package."""
 
 from __future__ import annotations
 
@@ -12,7 +12,7 @@ PACKAGE = sorted((ROOT / "src" / "krsfree").glob("*.py"))
 # __init__.py re-exports what it imports.
 MODULES = sorted(
     p
-    for d in (ROOT / "src" / "krsfree", ROOT / "tests")
+    for d in (ROOT / "src" / "krsfree", ROOT / "tests", ROOT / "demos")
     for p in d.glob("*.py")
     if p.name != "__init__.py"
 )
