@@ -8,6 +8,12 @@ Patterns are described by PatternSpec:
   * multipartite(r, k): the side-r complete k-partite pattern, anchored to the
     parts when a partition is supplied, unordered otherwise.
 
+Each copy is a bitmask over the host's sorted edges, built from the copy
+kernel's (S, mask) pairs (patterns._copy_masks) with no copy object: a copy's
+edges are the host edges that meet each of its parts, so its mask ANDs, over
+the parts, the OR of their vertices' incident-edge masks. Only the vertices of
+copies get an incident-edge mask.
+
 Before searching, max_free_subgraph computes a root upper bound and an
 incumbent:
   * The bound is the paper's Kővári–Sós–Turán count, carried to k-graphs by
@@ -25,10 +31,12 @@ incumbent:
     multipartite pattern at k >= 3 get no bound, which is reported as m.
   * The incumbent comes from seeded insertion: the edges are added in the
     order of an np.random.default_rng(0) permutation, each unless some copy
-    through it would become complete. With a bound below m, the passes
-    restart (at most 64 passes) until one meets it; otherwise there is a
-    single pass, since a bound of m cannot be met while a copy exists.
-    The seed is fixed, so the output is byte-reproducible.
+    through it would become complete. An edge in no copy is always inserted,
+    so each pass starts with those edges kept and walks the copy edges only.
+    With a bound below m, the passes restart (at most 64 passes) until one
+    meets it; otherwise there is a single pass, since a bound of m cannot be
+    met while a copy exists. The seed is fixed, so the output is
+    byte-reproducible.
 If the incumbent meets the bound, it is optimal and is returned with zero
 nodes explored.
 
@@ -50,7 +58,7 @@ from __future__ import annotations
 from bisect import bisect_right
 from collections import Counter, defaultdict
 from dataclasses import dataclass
-from itertools import chain
+from itertools import chain, combinations, groupby
 from math import comb, prod
 from typing import Callable, Iterator, Sequence
 
@@ -58,7 +66,7 @@ import numpy as np
 
 from .deletion import run_trials
 from .hypergraph import EdgeSubset, Hypergraph, PartitionSpec
-from .patterns import PatternCopy, _completions, _copy_masks, enumerate_copies
+from .patterns import PatternCopy, _copy_masks, _expand, _Masks, _members
 
 KIND_KRR = "rr-unordered"
 KIND_KRS_ORIENTED = "rs-oriented"
@@ -103,6 +111,38 @@ class PatternSpec:
         return cls(KIND_MULTIPARTITE, r=r, k=k)
 
 
+def _orientations(g: Hypergraph, pattern: PatternSpec, spec: PartitionSpec | None) -> list[PartitionSpec | None]:
+    """The partitions the pattern's copies are anchored to, one per orientation; None leaves them unanchored.
+
+    Checks the uniformity, then that an oriented biclique has a bipartition.
+    krr ignores any partition it is given.
+    """
+    if pattern.k != g.k:
+        raise ValueError(f"pattern uniformity {pattern.k} does not match host {g.k}")
+    if pattern.kind == KIND_KRR:
+        return [None]
+    if pattern.kind == KIND_MULTIPARTITE:
+        return [spec]
+    if spec is None or spec.k != 2:
+        raise ValueError("oriented biclique patterns need a bipartition of the host")
+    if pattern.kind == KIND_KRS_EITHER:
+        return [spec, PartitionSpec(spec.parts[::-1])]
+    return [spec]
+
+
+def _pattern_masks(
+    g: Hypergraph, pattern: PatternSpec, spec: PartitionSpec | None
+) -> list[tuple[_Masks, Sequence[int], int, bool]]:
+    """Per orientation, a _copy_masks loop, its labels, the mask vertices a copy takes, and
+    whether it is the unordered k >= 3 link kernel's; a list, so every check runs at the call.
+    """
+    s = pattern.r if pattern.s is None else pattern.s
+    return [
+        (*_copy_masks(g, pattern.r, parts, s), parts is None and g.k >= 3)
+        for parts in _orientations(g, pattern, spec)
+    ]
+
+
 def iter_pattern_copies(
     g: Hypergraph, pattern: PatternSpec, spec: PartitionSpec | None = None
 ) -> Iterator[PatternCopy]:
@@ -110,19 +150,52 @@ def iter_pattern_copies(
 
     Oversized patterns yield nothing.
     """
-    if pattern.k != g.k:
-        raise ValueError(f"pattern uniformity {pattern.k} does not match host {g.k}")
-    if pattern.kind == KIND_KRR:
-        return enumerate_copies(g, pattern.r)
-    if pattern.kind == KIND_MULTIPARTITE:
-        return enumerate_copies(g, pattern.r, spec)
-    if spec is None or spec.k != 2:
-        raise ValueError("oriented biclique patterns need a bipartition of the host")
-    orientations = [spec]
-    if pattern.kind == KIND_KRS_EITHER:
-        orientations.append(PartitionSpec(spec.parts[::-1]))
-    # A list, so that every orientation's partition check runs now.
-    return chain.from_iterable([_completions(*_copy_masks(g, pattern.r, parts, pattern.s)) for parts in orientations])
+    return chain.from_iterable([_expand(*loop) for loop in _pattern_masks(g, pattern, spec)])
+
+
+def _copy_edge_masks(g: Hypergraph, pattern: PatternSpec, spec: PartitionSpec | None) -> list[int]:
+    """The distinct copies of the pattern as masks over g.sorted_edges(), in increasing order.
+
+    The AND over S's parts is taken once per kernel pair (S, mask); each s-set
+    B of the mask's vertices then adds one OR and one AND. In the link
+    kernel's pairs S starts with (v,), and B joins v's part.
+    """
+    edges = g.sorted_edges()
+    at: dict[int, list[int]] = defaultdict(list)
+    for i, e in enumerate(edges):
+        for v in e:
+            at[v].append(i)
+    # Each vertex's incident-edge mask, built when a copy first needs it: a
+    # mask is m bits wide, so masks for every vertex of a sparse host would
+    # take time and memory quadratic in m.
+    incident: dict[int, int] = {}
+
+    def meets(part: Sequence[int]) -> int:
+        union = 0
+        for v in part:
+            if v not in incident:
+                bits = bytearray(len(edges) // 8 + 1)
+                for i in at[v]:
+                    bits[i >> 3] |= 1 << (i & 7)
+                incident[v] = int.from_bytes(bits, "little")
+            union |= incident[v]
+        return union
+
+    masks = []
+    for loop, labels, size, linked in _pattern_masks(g, pattern, spec):
+        for S, mask in loop:
+            head = meets(S[0]) if linked else 0
+            common = -1
+            for part in S[1:] if linked else S:
+                common &= meets(part)
+            for B in combinations([meets((v,)) for v in _members(mask, labels)], size):
+                union = head
+                for b in B:
+                    union |= b
+                masks.append(common & union)
+    # Only krs_either at r = s finds a copy twice, once per orientation.
+    masks.sort()
+    return [c for c, _ in groupby(masks)]
 
 
 def is_free(
@@ -249,9 +322,7 @@ def _root_bound(g: Hypergraph, pattern: PatternSpec, spec: PartitionSpec | None)
     elif spec is None:
         return g.m
     else:
-        orientations = [spec.parts]
-        if pattern.kind == KIND_KRS_EITHER:
-            orientations.append(spec.parts[::-1])
+        orientations = [o.parts for o in _orientations(g, pattern, spec)]
     s = pattern.r if pattern.s is None else pattern.s
     degree = Counter(v for e in g.edges for v in e)
     return min(
@@ -276,13 +347,7 @@ def max_free_subgraph(
         raise ValueError("need budget >= 1")
     edges = g.sorted_edges()
     m = len(edges)
-    index = {e: i for i, e in enumerate(edges)}
-    copy_masks = sorted(
-        {
-            sum(1 << index[e] for e in copy.edge_set())
-            for copy in iter_pattern_copies(g, pattern, spec)
-        }
-    )
+    copy_masks = _copy_edge_masks(g, pattern, spec)
     full = (1 << m) - 1
     if not copy_masks:
         return OracleResult(
@@ -298,6 +363,8 @@ def max_free_subgraph(
 
     # Incumbent: insert the edges in a seeded random order, each unless some
     # copy through it would become complete; keep the largest of the passes.
+    # An edge in no copy is always inserted and no check reads it, so each
+    # pass starts with those kept and walks the copy edges only.
     through: list[list[int]] = [[] for _ in range(m)]
     for c in copy_masks:
         rest = c
@@ -305,12 +372,15 @@ def max_free_subgraph(
             bit = rest & -rest
             through[bit.bit_length() - 1].append(c)
             rest ^= bit
+    in_copy = np.array([bool(cs) for cs in through])
+    copy_free = int.from_bytes(np.packbits(~in_copy, bitorder="little").tobytes(), "little")
     # The fewest deletions found so far, and the edges that solution keeps.
     fewest, best_kept = m, 0
     rng = np.random.default_rng(0)
     for _ in range(_INSERTION_RESTARTS if upper_bound < m else 1):
-        kept = 0
-        for i in rng.permutation(m).tolist():
+        kept = copy_free
+        order = rng.permutation(m)
+        for i in order[in_copy[order]].tolist():
             grown = kept | 1 << i
             if all(c & grown != c for c in through[i]):
                 kept = grown

@@ -474,8 +474,12 @@ def enumerate_copies(
 
     An oversized pattern (r * k > n) yields nothing rather than raising.
     """
-    masks, labels, size = _copy_masks(g, r, spec, r)
-    if spec is None and g.k >= 3:
+    return _expand(*_copy_masks(g, r, spec, r), spec is None and g.k >= 3)
+
+
+def _expand(masks: _Masks, labels: Sequence[int], size: int, linked: bool) -> Iterator[PatternCopy]:
+    """The copies of a _copy_masks loop in enumeration order; linked marks the unordered k >= 3 link kernel's loop."""
+    if linked:
         # Each least vertex's copies are sorted on their own, so the iterator
         # stays lazy from one least vertex to the next.
         groups = groupby(_unordered_copies(masks, labels, size), key=lambda parts: parts[0][0])

@@ -6,6 +6,8 @@ import hashlib
 import math
 import random
 import time
+import tracemalloc
+from itertools import combinations
 
 import numpy as np
 import pytest
@@ -28,6 +30,7 @@ from krsfree.oracle import (
     KIND_MULTIPARTITE,
     _kst_bound,
     _link_floor,
+    _copy_edge_masks,
     _root_bound,
     iter_pattern_copies,
 )
@@ -40,7 +43,15 @@ from bruteforce import (
     copies_as_masks,
     mask_to_subset,
 )
-from corpus import disjoint_k33, graph_corpus, partite_host, random_graph
+from corpus import (
+    disjoint_k33,
+    graph_corpus,
+    kgraph_corpus,
+    partite_corpus_small,
+    partite_host,
+    random_graph,
+    shuffled_partite_corpus,
+)
 
 
 def witness_digest(result: OracleResult) -> str:
@@ -148,6 +159,111 @@ class TestIsFree:
             # The bare call raises, before any copy is asked for.
             with pytest.raises(ValueError, match="does not match host"):
                 iter_pattern_copies(g, pattern, spec)
+
+
+def referee_masks(g: Hypergraph, pattern: PatternSpec, spec: PartitionSpec | None) -> list[int]:
+    """The enumerated copies as sorted edge masks, by a product over each copy's parts."""
+    return copies_as_masks(g, [c.parts for c in iter_pattern_copies(g, pattern, spec)])
+
+
+def raised(call, *args) -> str:
+    with pytest.raises(ValueError) as info:
+        call(*args)
+    return str(info.value)
+
+
+class TestCopyEdgeMasks:
+    """The oracle's masks, built from the kernel's pairs, against the enumerated copies."""
+
+    def test_graph_patterns(self):
+        checked = 0
+        for g in graph_corpus(200):
+            for r in (1, 2, 3):
+                for pattern in (PatternSpec.krr(r), PatternSpec.multipartite(r, 2)):
+                    masks = _copy_edge_masks(g, pattern, None)
+                    assert masks == referee_masks(g, pattern, None)
+                    checked += bool(masks)
+        assert checked >= 300
+
+    def test_partite_patterns(self):
+        # r = s is where the two orientations of krs_either overlap.
+        checked = 0
+        for g, spec in partite_corpus_small(120) + shuffled_partite_corpus(80):
+            patterns = [PatternSpec.multipartite(r, g.k) for r in (1, 2)]
+            if g.k == 2:
+                patterns += [kind(r, s) for kind in (PatternSpec.krs_oriented, PatternSpec.krs_either)
+                             for r, s in ((2, 2), (2, 3), (3, 3))]
+            for pattern in patterns:
+                for parts in (spec, None) if pattern.kind == KIND_MULTIPARTITE else (spec,):
+                    masks = _copy_edge_masks(g, pattern, parts)
+                    assert masks == referee_masks(g, pattern, parts)
+                    checked += bool(masks)
+        assert checked >= 400
+
+    @pytest.mark.parametrize("k", [3, 4])
+    def test_unordered_kgraph_patterns(self, k):
+        checked = 0
+        for g in kgraph_corpus(60, seed=k, k=k):
+            for r in (1, 2):
+                masks = _copy_edge_masks(g, PatternSpec.multipartite(r, k), None)
+                assert masks == referee_masks(g, PatternSpec.multipartite(r, k), None)
+                checked += bool(masks)
+        assert checked >= 60
+
+    def test_one_uniform_hosts(self):
+        for n in range(6):
+            g = Hypergraph.from_edges(1, n, [(v,) for v in range(0, n, 2)])
+            spec = PartitionSpec((tuple(range(n)),))
+            for r in (1, 2, 3):
+                for parts in (None, spec):
+                    pattern = PatternSpec.multipartite(r, 1)
+                    assert _copy_edge_masks(g, pattern, parts) == referee_masks(g, pattern, parts)
+
+    def test_oversized_patterns_give_no_masks(self):
+        g, spec = complete_bipartite(3, 3)
+        for pattern in (PatternSpec.krr(4), PatternSpec.krs_oriented(4, 4), PatternSpec.krs_either(2, 4),
+                        PatternSpec.multipartite(4, 2)):
+            assert _copy_edge_masks(g, pattern, spec) == []
+        g, spec = complete_multipartite([2, 2, 2])
+        for parts in (spec, None):
+            assert _copy_edge_masks(g, PatternSpec.multipartite(3, 3), parts) == []
+
+    def test_only_copy_vertices_get_a_mask(self):
+        # A star's 20,000 leaves are in no copy. A mask for each would be as
+        # wide as its edge's position, 25 MB in all; the K_{2,2} beside the
+        # star needs four.
+        n = 20_000
+        edges = [(0, i) for i in range(1, n + 1)] + [(n + 1, n + 3), (n + 1, n + 4), (n + 2, n + 3), (n + 2, n + 4)]
+        g = Hypergraph.from_edges(2, n + 5, edges)
+        tracemalloc.start()
+        try:
+            masks = _copy_edge_masks(g, PatternSpec.krr(2), None)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert masks == [0b1111 << n]
+        assert peak < 12 * 2**20
+
+    def test_errors_match_the_enumeration(self):
+        g, spec = complete_bipartite(3, 3)
+        g3, spec3 = complete_multipartite([2, 2, 2])
+        misfit = PartitionSpec(((0, 1, 3), (2, 4, 5)))
+        cases = [
+            # Uniformity first, even with no bipartition.
+            (g3, PatternSpec.krs_either(2, 3), None, "does not match host"),
+            (g3, PatternSpec.krr(2), spec3, "does not match host"),
+            (g, PatternSpec.multipartite(2, 3), spec, "does not match host"),
+            # Then the bipartition, before the partition is checked against the host.
+            (g, PatternSpec.krs_oriented(2, 3), None, "bipartition"),
+            (g, PatternSpec.krs_either(2, 2), PartitionSpec(((0,), (1, 2), (3, 4, 5))), "bipartition"),
+            (g, PatternSpec.krs_oriented(2, 3), misfit, "not partite"),
+            (g, PatternSpec.krs_either(2, 3), misfit, "not partite"),
+            (g, PatternSpec.multipartite(2, 2), misfit, "not partite"),
+        ]
+        for host, pattern, parts, text in cases:
+            message = raised(_copy_edge_masks, host, pattern, parts)
+            assert text in message
+            assert message == raised(iter_pattern_copies, host, pattern, parts)
 
 
 class TestOracleFrozenValues:
@@ -406,24 +522,48 @@ class TestRootBound:
         assert (result.optimum, result.upper_bound) == (1_828, 3_060)
         assert witness_digest(result) == "55504f619083d16018ed2d3414b9a043ed98196ddb8663c692073a0551be79c0"
 
-    @pytest.mark.parametrize("g,pattern,budget,optimum,upper_bound,digest", [
+    @pytest.mark.parametrize("g,pattern,spec,budget,optimum,upper_bound,digest", [
         pytest.param(
-            complete_bipartite(8, 8)[0], PatternSpec.krr(2), 30_000, 24, 25,
+            complete_bipartite(8, 8)[0], PatternSpec.krr(2), None, 30_000, 24, 25,
             "2001a7199a871999348ce094a412d928ddc2bf41fd9d42df9d5791592dda694e", id="K8_8",
         ),
         pytest.param(
-            disjoint_k33(100), PatternSpec.krr(2), 5_000, 546, 900,
+            disjoint_k33(100), PatternSpec.krr(2), None, 5_000, 546, 900,
             "0ecc37716064a47c7ef6e8078dda52255934ba7bc8611315458edc977a062bcf", id="100xK3_3",
         ),
         pytest.param(
-            build_construction(2, 2, 3)[0], PatternSpec.multipartite(2, 3), 3_000, 85, 128,
+            build_construction(2, 2, 3)[0], PatternSpec.multipartite(2, 3), None, 3_000, 85, 128,
             "956baf4c7498c7292192a0a645efded820c5e6e1ffd24a4545ed1ee16c5c5b7c", id="c2_2_3-unordered",
         ),
+        pytest.param(
+            complete_bipartite(6, 6)[0], PatternSpec.krs_either(2, 3), complete_bipartite(6, 6)[1], 3_000, 21, 22,
+            "e47efd656e2971d338d5119b78765bd7d042a05e412adba49b8ff8770d7a31d7", id="K6_6-either",
+        ),
+        pytest.param(
+            Hypergraph.from_edges(3, 7, combinations(range(7), 3)), PatternSpec.multipartite(2, 3), None,
+            2_000, 26, 35,
+            "e46a7c050d9ea9d292e9e51a95646b9cf9a8c979712fb4e6f30a81f3a2dcd43b", id="K7^3-unordered",
+        ),
+        # Hosts whose copy-free edges interleave with copy edges in the insertion order:
+        # a K_{3,3} and a 50-edge path (bound m, one pass), and K_{8,8} with 40
+        # leaves on one side (bound below m, all 64 passes).
+        pytest.param(
+            Hypergraph.from_edges(2, 57, [(i, 3 + j) for i in range(3) for j in range(3)]
+                                  + [(6 + i, 7 + i) for i in range(50)]),
+            PatternSpec.krr(2), None, 10, 56, 59,
+            "60634c667f48f8d769a1c36b099fb8bd8838db1eafbfd626200595dac465e598", id="K3_3+path",
+        ),
+        pytest.param(
+            Hypergraph.from_edges(2, 56, [(i, 8 + j) for i in range(8) for j in range(8)]
+                                  + [(i % 8, 16 + i) for i in range(40)]),
+            PatternSpec.krr(2), None, 3_000, 64, 65,
+            "0b9d5abb1b1261f9daa0530a51b253fe6a9c87f180e50ee39e35c3438b322305", id="K8_8+leaves",
+        ),
     ])
-    def test_budgeted_search_path_is_frozen(self, g, pattern, budget, optimum, upper_bound, digest):
+    def test_budgeted_search_path_is_frozen(self, g, pattern, spec, budget, optimum, upper_bound, digest):
         # Where the search stands when its budget runs out pins the order it
         # visits nodes in, not only the optimum it would reach.
-        result = max_free_subgraph(g, pattern, budget=budget)
+        result = max_free_subgraph(g, pattern, spec, budget=budget)
         assert (result.optimum, result.nodes_explored, result.proof_of_optimality, result.upper_bound) == (
             optimum, budget, False, upper_bound,
         )
