@@ -12,7 +12,6 @@ arguments are byte-identical.
 from __future__ import annotations
 
 import argparse
-import json
 import math
 import sys
 import traceback
@@ -23,6 +22,7 @@ from .deletion import (
     EDGE_CHOICE_POLICIES,
     REPORT_CSV_COLUMNS,
     _fmt_float,
+    _v1_json,
     deletion_params,
     reports_to_csv,
     run_trials,
@@ -234,7 +234,6 @@ def cmd_oracle(args: argparse.Namespace) -> int:
     pattern = _pattern(args.r, g.k, args.s, args.orientation, spec)
     result = max_free_subgraph(g, pattern, spec, budget=args.budget)
     payload = {
-        "schema": "v1",
         "m": g.m,
         "optimum": result.optimum,
         "nodes_explored": result.nodes_explored,
@@ -243,7 +242,7 @@ def cmd_oracle(args: argparse.Namespace) -> int:
         "gap": 0 if result.proof_of_optimality else result.upper_bound - result.optimum,
         "witness_edges": [list(e) for e in sorted(result.witness.edges)],
     }
-    sys.stdout.write(json.dumps(payload, indent=2, sort_keys=True) + "\n")
+    sys.stdout.write(_v1_json(payload))
     return EXIT_OK
 
 
@@ -266,7 +265,6 @@ def cmd_certify(args: argparse.Namespace) -> int:
         gprime = EdgeSubset(g, g.edges)
     report = kst_certificate(gprime, spec, args.r, s)
     payload = {
-        "schema": "v1",
         "r": report.r,
         "s": report.s,
         "lhs": report.lhs,
@@ -275,7 +273,7 @@ def cmd_certify(args: argparse.Namespace) -> int:
         "average_degree_float": float(_fmt_float(float(report.average_degree))),
         "verdict": report.verdict,
     }
-    sys.stdout.write(json.dumps(payload, indent=2, sort_keys=True) + "\n")
+    sys.stdout.write(_v1_json(payload))
     return EXIT_OK
 
 

@@ -299,6 +299,9 @@ def _json_fields(record: DeletionRunReport | TrialSummary) -> dict:
 
 
 def summary_to_json(summary: TrialSummary) -> str:
-    reports = [_json_fields(rep) for rep in summary.reports]
-    payload = {"schema": "v1", **_json_fields(summary), "reports": reports}
-    return json.dumps(payload, indent=2, sort_keys=True) + "\n"
+    return _v1_json({**_json_fields(summary), "reports": [_json_fields(rep) for rep in summary.reports]})
+
+
+def _v1_json(payload: dict) -> str:
+    """The payload tagged "schema": "v1", as JSON with sorted keys, a 2-space indent and a final newline."""
+    return json.dumps({"schema": "v1", **payload}, indent=2, sort_keys=True) + "\n"

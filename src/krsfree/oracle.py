@@ -8,11 +8,8 @@ Patterns are described by PatternSpec:
   * multipartite(r, k): the side-r complete k-partite pattern, anchored to the
     parts when a partition is supplied, unordered otherwise.
 
-Each copy is a bitmask over the host's sorted edges, built from the copy
-kernel's (S, mask) pairs (patterns._copy_masks) with no copy object: a copy's
-edges are the host edges that meet each of its parts, so its mask ANDs, over
-the parts, the OR of their vertices' incident-edge masks. Only the vertices of
-copies get an incident-edge mask.
+Each copy is a bitmask over the host's sorted edges, built by
+patterns._copy_edge_masks from the copy kernel's loop for each orientation.
 
 Before searching, max_free_subgraph computes a root upper bound and an
 incumbent:
@@ -58,7 +55,7 @@ from __future__ import annotations
 from bisect import bisect_right
 from collections import Counter, defaultdict
 from dataclasses import dataclass
-from itertools import chain, combinations, groupby
+from itertools import chain
 from math import comb, prod
 from typing import Callable, Iterator, Sequence
 
@@ -66,7 +63,7 @@ import numpy as np
 
 from .deletion import run_trials
 from .hypergraph import EdgeSubset, Hypergraph, PartitionSpec
-from .patterns import PatternCopy, _copy_masks, _expand, _Masks, _members
+from .patterns import PatternCopy, _copy_edge_masks, _copy_masks, _expand, _Loop
 
 KIND_KRR = "rr-unordered"
 KIND_KRS_ORIENTED = "rs-oriented"
@@ -130,17 +127,10 @@ def _orientations(g: Hypergraph, pattern: PatternSpec, spec: PartitionSpec | Non
     return [spec]
 
 
-def _pattern_masks(
-    g: Hypergraph, pattern: PatternSpec, spec: PartitionSpec | None
-) -> list[tuple[_Masks, Sequence[int], int, bool]]:
-    """Per orientation, a _copy_masks loop, its labels, the mask vertices a copy takes, and
-    whether it is the unordered k >= 3 link kernel's; a list, so every check runs at the call.
-    """
+def _pattern_masks(g: Hypergraph, pattern: PatternSpec, spec: PartitionSpec | None) -> list[_Loop]:
+    """The _copy_masks loop of each orientation, in a list, so every check runs at the call."""
     s = pattern.r if pattern.s is None else pattern.s
-    return [
-        (*_copy_masks(g, pattern.r, parts, s), parts is None and g.k >= 3)
-        for parts in _orientations(g, pattern, spec)
-    ]
+    return [_copy_masks(g, pattern.r, parts, s) for parts in _orientations(g, pattern, spec)]
 
 
 def iter_pattern_copies(
@@ -151,51 +141,6 @@ def iter_pattern_copies(
     Oversized patterns yield nothing.
     """
     return chain.from_iterable([_expand(*loop) for loop in _pattern_masks(g, pattern, spec)])
-
-
-def _copy_edge_masks(g: Hypergraph, pattern: PatternSpec, spec: PartitionSpec | None) -> list[int]:
-    """The distinct copies of the pattern as masks over g.sorted_edges(), in increasing order.
-
-    The AND over S's parts is taken once per kernel pair (S, mask); each s-set
-    B of the mask's vertices then adds one OR and one AND. In the link
-    kernel's pairs S starts with (v,), and B joins v's part.
-    """
-    edges = g.sorted_edges()
-    at: dict[int, list[int]] = defaultdict(list)
-    for i, e in enumerate(edges):
-        for v in e:
-            at[v].append(i)
-    # Each vertex's incident-edge mask, built when a copy first needs it: a
-    # mask is m bits wide, so masks for every vertex of a sparse host would
-    # take time and memory quadratic in m.
-    incident: dict[int, int] = {}
-
-    def meets(part: Sequence[int]) -> int:
-        union = 0
-        for v in part:
-            if v not in incident:
-                bits = bytearray(len(edges) // 8 + 1)
-                for i in at[v]:
-                    bits[i >> 3] |= 1 << (i & 7)
-                incident[v] = int.from_bytes(bits, "little")
-            union |= incident[v]
-        return union
-
-    masks = []
-    for loop, labels, size, linked in _pattern_masks(g, pattern, spec):
-        for S, mask in loop:
-            head = meets(S[0]) if linked else 0
-            common = -1
-            for part in S[1:] if linked else S:
-                common &= meets(part)
-            for B in combinations([meets((v,)) for v in _members(mask, labels)], size):
-                union = head
-                for b in B:
-                    union |= b
-                masks.append(common & union)
-    # Only krs_either at r = s finds a copy twice, once per orientation.
-    masks.sort()
-    return [c for c, _ in groupby(masks)]
 
 
 def is_free(
@@ -347,7 +292,7 @@ def max_free_subgraph(
         raise ValueError("need budget >= 1")
     edges = g.sorted_edges()
     m = len(edges)
-    copy_masks = _copy_edge_masks(g, pattern, spec)
+    copy_masks = _copy_edge_masks(edges, _pattern_masks(g, pattern, spec))
     full = (1 << m) - 1
     if not copy_masks:
         return OracleResult(

@@ -24,11 +24,11 @@ All counts are exact integers.
 from __future__ import annotations
 
 from bisect import bisect_right
-from collections import Counter
+from collections import Counter, defaultdict
 from dataclasses import dataclass
 from itertools import chain, combinations, groupby, permutations, product
 from math import comb, factorial
-from typing import Collection, Iterable, Iterator, Sequence
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -77,12 +77,17 @@ def pattern_exponent(r: int, k: int) -> int:
 # part. _link_masks recurses one uniformity down, and _partite_masks one part
 # down, until both reach the wedge scan on graphs. Each call reads its edges as
 # one (m, k) int64 array, and all set-up before a scan is numpy over it.
+# A loop has three readers: _expand lists its copies, _count counts them, and
+# _copy_edge_masks turns each into a mask over the host's sorted edges. A copy's
+# edges are the edges that meet each of its parts, so its mask ANDs, over the
+# parts, the OR of their vertices' masks in an _Incidence index.
 # _matching_masks has the same shape for matchings: S is an (r-1)-matching and
 # the mask holds the edges that extend it. It feeds enumerate_matchings;
 # count_matchings stops one level earlier and counts the disjoint pairs in each
-# mask in closed form.
+# mask in closed form. Both read the index's vertex masks.
 
 _Masks = Iterable[tuple[tuple, int]]
+_Loop = tuple[_Masks, Sequence[int], int, bool]
 
 
 def _relabel(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -285,7 +290,7 @@ def _link_copies(rows: np.ndarray, r: int, n: int) -> Iterator[tuple[int, Iterat
     nbrs, cuts, labels, tags = nbrs.tolist(), cuts.tolist(), labels.tolist(), tags.tolist()
     for lo, hi in zip(bounds, bounds[1:]):
         masks = _wedge_scan(nbrs, cuts[lo:hi + 1], r, r, labels[lo:hi])
-        yield tags[lo], (copy.parts for copy in _completions(masks, labels[lo:hi], r))
+        yield tags[lo], _completions(masks, labels[lo:hi], r)
 
 
 def _members(mask: int, labels: Sequence[int]) -> list[int]:
@@ -298,11 +303,9 @@ def _members(mask: int, labels: Sequence[int]) -> list[int]:
     return members
 
 
-def _completions(masks: _Masks, labels: Sequence[int], s: int) -> Iterator[PatternCopy]:
-    """Expand each (S, mask) into the copies S + (B,), B an s-set of the mask's labels."""
-    for S, mask in masks:
-        for B in combinations(_members(mask, labels), s):
-            yield PatternCopy(S + (B,))
+def _completions(masks: _Masks, labels: Sequence[int], s: int) -> Iterator[tuple[tuple[int, ...], ...]]:
+    """Expand each (S, mask) into the copies' parts S + (B,), B an s-set of the mask's labels."""
+    return (S + (B,) for S, mask in masks for B in combinations(_members(mask, labels), s))
 
 
 def _unordered_copies(masks: _Masks, labels: Sequence[int], size: int) -> Iterator[tuple[tuple[int, ...], ...]]:
@@ -327,31 +330,43 @@ def _first_seen_key(parts: tuple[tuple[int, ...], ...]) -> tuple:
     )
 
 
-def _count(masks: _Masks, s: int) -> int:
-    """Number of copies the masks expand to, each S plus an s-set of its mask."""
-    return sum(comb(mask.bit_count(), s) for _S, mask in masks)
+class _Incidence(dict):
+    """Vertex set T -> the mask of the sorted edges that contain T, built when first read.
+
+    A mask is set from T's edge positions in a bytearray, not by | 1 << i,
+    which costs an i-bit int per step; the positions of the sets of one size
+    are listed in one pass over the edges, when the first of them is read.
+    """
+
+    def __init__(self, edges: Sequence[Edge]) -> None:
+        self.edges = edges
+        self.at: dict[int, dict[Edge, list[int]]] = {}
+
+    def positions(self, size: int) -> dict[Edge, list[int]]:
+        """Each vertex set of the size inside an edge, with the positions of the edges containing it."""
+        if size not in self.at:
+            at = self.at[size] = defaultdict(list)
+            for i, e in enumerate(self.edges):
+                for T in combinations(e, size):
+                    at[T].append(i)
+        return self.at[size]
+
+    def __missing__(self, T: Edge) -> int:
+        bits = bytearray(len(self.edges) // 8 + 1)
+        for i in self.positions(len(T))[T]:
+            bits[i >> 3] |= 1 << (i & 7)
+        mask = self[T] = int.from_bytes(bits, "little")
+        return mask
 
 
-def _containing(edges: Sequence[Edge], sizes: Collection[int]) -> dict[Edge, int]:
-    """Each vertex set T of the given sizes inside an edge, with the mask of the edges containing it."""
-    masks: dict[Edge, int] = {}
-    for i, e in enumerate(edges):
-        for size in sizes:
-            for T in combinations(e, size):
-                masks[T] = masks.get(T, 0) | 1 << i
-    return masks
-
-
-def _matching_masks(g: Hypergraph, r: int) -> _Masks:
+def _matching_masks(incident: _Incidence, r: int) -> _Masks:
     """Each (r-1)-matching with the later edges that extend it to an r-matching.
 
-    Edges are bit positions into the sorted edge order. The (r-1)-matchings come
-    as sorted index tuples in lexicographic order, each with the mask of edges
-    after its last index that are disjoint from all of it.
+    Edges are bit positions into incident.edges, the sorted edge order. The
+    (r-1)-matchings come as sorted index tuples in lexicographic order, each
+    with the mask of edges after its last index that are disjoint from all of it.
     """
-    edges = g.sorted_edges()
-    # At r = 1 the only (r-1)-matching is the empty one, and nothing grows.
-    touching = _containing(edges, (1,)) if r > 1 else {}
+    edges = incident.edges
 
     def grow(chosen: tuple[int, ...], allowed: int) -> _Masks:
         if len(chosen) == r - 1:
@@ -360,7 +375,7 @@ def _matching_masks(g: Hypergraph, r: int) -> _Masks:
         for i in _members(allowed, range(len(edges))):
             later = allowed & -(2 << i)
             for v in edges[i]:
-                later &= ~touching[v,]
+                later &= ~incident[v,]
             yield from grow(chosen + (i,), later)
 
     return grow((), (1 << len(edges)) - 1)
@@ -373,7 +388,7 @@ def enumerate_matchings(g: Hypergraph, r: int) -> Iterator[Matching]:
     edges = g.sorted_edges()
     return (
         Matching(frozenset([*(edges[i] for i in chosen), last]))
-        for chosen, mask in _matching_masks(g, r)
+        for chosen, mask in _matching_masks(_Incidence(edges), r)
         for last in _members(mask, edges)
     )
 
@@ -401,12 +416,12 @@ def count_matchings(g: Hypergraph, r: int) -> int:
             runs = np.diff(np.flatnonzero(np.r_[True, (rows[1:] != rows[:-1]).any(axis=1), True]))
             total += (-1) ** t * int((runs * (runs - 1) // 2).sum())
         return total
-    # E_T & (E_T - 1) drops the masks with one edge, which hold no pair.
-    shared = _containing(g.sorted_edges(), range(1, g.k)).items()
-    terms = [((-1) ** len(T), E_T) for T, E_T in shared if E_T & (E_T - 1)]
+    # A T in one edge holds no pair, and its mask is never built.
+    incident = _Incidence(g.sorted_edges())
+    terms = [((-1) ** t, incident[T]) for t in range(1, g.k) for T, at in incident.positions(t).items() if len(at) > 1]
     return sum(
         comb(A.bit_count(), 2) + sum(sign * comb((A & E_T).bit_count(), 2) for sign, E_T in terms)
-        for _chosen, A in _matching_masks(g, r - 1)
+        for _chosen, A in _matching_masks(incident, r - 1)
     )
 
 
@@ -446,8 +461,8 @@ def extensions_of_matching(
     return [c for c in map(PatternCopy, candidates) if c.edge_set() <= g.edges]
 
 
-def _copy_masks(g: Hypergraph, r: int, spec: PartitionSpec | None, s: int) -> tuple[_Masks, Sequence[int], int]:
-    """The mask loop for r-sets with s completions, its labels, and how many mask vertices a copy takes.
+def _copy_masks(g: Hypergraph, r: int, spec: PartitionSpec | None, s: int) -> _Loop:
+    """The mask loop for r-sets with s completions, its labels, mask vertices per copy, and if it is the link kernel's.
 
     Checks r and the partition, then picks the kernel: k = 1, anchored,
     unordered graph, or the link kernel for unordered k >= 3, which takes
@@ -459,12 +474,12 @@ def _copy_masks(g: Hypergraph, r: int, spec: PartitionSpec | None, s: int) -> tu
     if spec is not None:
         _require_partite(a, g.n, spec)
     if g.k == 1:
-        return [((), (1 << g.m) - 1)], np.sort(a[:, 0]).tolist(), s
+        return [((), (1 << g.m) - 1)], np.sort(a[:, 0]).tolist(), s, False
     if spec is not None:
-        return (*_partite_masks(a, spec._labels, r, s), s)
+        return (*_partite_masks(a, spec._labels, r, s), s, False)
     if g.k == 2:
-        return (*_graph_masks(a, r, s), s)
-    return (*_link_masks(a, r), r - 1)
+        return (*_graph_masks(a, r, s), s, False)
+    return (*_link_masks(a, r), r - 1, True)
 
 
 def enumerate_copies(
@@ -474,22 +489,59 @@ def enumerate_copies(
 
     An oversized pattern (r * k > n) yields nothing rather than raising.
     """
-    return _expand(*_copy_masks(g, r, spec, r), spec is None and g.k >= 3)
+    return _expand(*_copy_masks(g, r, spec, r))
 
 
 def _expand(masks: _Masks, labels: Sequence[int], size: int, linked: bool) -> Iterator[PatternCopy]:
-    """The copies of a _copy_masks loop in enumeration order; linked marks the unordered k >= 3 link kernel's loop."""
+    """The copies of a _copy_masks loop in enumeration order."""
     if linked:
         # Each least vertex's copies are sorted on their own, so the iterator
         # stays lazy from one least vertex to the next.
         groups = groupby(_unordered_copies(masks, labels, size), key=lambda parts: parts[0][0])
         return (PatternCopy(parts) for _v, group in groups for parts in sorted(group, key=_first_seen_key))
-    return _completions(masks, labels, size)
+    return map(PatternCopy, _completions(masks, labels, size))
+
+
+def _count(masks: _Masks, s: int) -> int:
+    """Number of copies the masks expand to, each S plus an s-set of its mask."""
+    return sum(comb(mask.bit_count(), s) for _S, mask in masks)
+
+
+def _copy_edge_masks(edges: Sequence[Edge], loops: Iterable[_Loop]) -> list[int]:
+    """The distinct copies of the _copy_masks loops as masks over the sorted edges, in increasing order.
+
+    The AND over S's parts is taken once per pair (S, mask); each s-set B of
+    the mask's vertices then adds one OR and one AND. In the link kernel's
+    pairs S starts with (v,), and B joins v's part.
+    """
+    incident = _Incidence(edges)
+
+    def meets(part: Sequence[int]) -> int:
+        union = 0
+        for v in part:
+            union |= incident[v,]
+        return union
+
+    masks = []
+    for loop, labels, size, linked in loops:
+        for S, mask in loop:
+            head = meets(S[0]) if linked else 0
+            common = -1
+            for part in S[1:] if linked else S:
+                common &= meets(part)
+            for B in combinations([incident[v,] for v in _members(mask, labels)], size):
+                union = head
+                for b in B:
+                    union |= b
+                masks.append(common & union)
+    # Only krs_either at r = s finds a copy twice, once per orientation.
+    masks.sort()
+    return [c for c, _ in groupby(masks)]
 
 
 def count_copies(g: Hypergraph, r: int, spec: PartitionSpec | None = None) -> int:
     """Number of copies of the side-r pattern, equal to the enumeration's length."""
-    masks, _labels, size = _copy_masks(g, r, spec, r)
+    masks, _labels, size, _linked = _copy_masks(g, r, spec, r)
     return _count(masks, size)
 
 

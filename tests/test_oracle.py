@@ -30,10 +30,11 @@ from krsfree.oracle import (
     KIND_MULTIPARTITE,
     _kst_bound,
     _link_floor,
-    _copy_edge_masks,
+    _pattern_masks,
     _root_bound,
     iter_pattern_copies,
 )
+from krsfree.patterns import _copy_edge_masks
 
 from bruteforce import (
     brute_copies_oriented,
@@ -166,6 +167,11 @@ def referee_masks(g: Hypergraph, pattern: PatternSpec, spec: PartitionSpec | Non
     return copies_as_masks(g, [c.parts for c in iter_pattern_copies(g, pattern, spec)])
 
 
+def copy_edge_masks(g: Hypergraph, pattern: PatternSpec, spec: PartitionSpec | None) -> list[int]:
+    """The oracle's copy masks: the edge masks of the pattern's loops, one per orientation."""
+    return _copy_edge_masks(g.sorted_edges(), _pattern_masks(g, pattern, spec))
+
+
 def raised(call, *args) -> str:
     with pytest.raises(ValueError) as info:
         call(*args)
@@ -180,7 +186,7 @@ class TestCopyEdgeMasks:
         for g in graph_corpus(200):
             for r in (1, 2, 3):
                 for pattern in (PatternSpec.krr(r), PatternSpec.multipartite(r, 2)):
-                    masks = _copy_edge_masks(g, pattern, None)
+                    masks = copy_edge_masks(g, pattern, None)
                     assert masks == referee_masks(g, pattern, None)
                     checked += bool(masks)
         assert checked >= 300
@@ -195,7 +201,7 @@ class TestCopyEdgeMasks:
                              for r, s in ((2, 2), (2, 3), (3, 3))]
             for pattern in patterns:
                 for parts in (spec, None) if pattern.kind == KIND_MULTIPARTITE else (spec,):
-                    masks = _copy_edge_masks(g, pattern, parts)
+                    masks = copy_edge_masks(g, pattern, parts)
                     assert masks == referee_masks(g, pattern, parts)
                     checked += bool(masks)
         assert checked >= 400
@@ -205,7 +211,7 @@ class TestCopyEdgeMasks:
         checked = 0
         for g in kgraph_corpus(60, seed=k, k=k):
             for r in (1, 2):
-                masks = _copy_edge_masks(g, PatternSpec.multipartite(r, k), None)
+                masks = copy_edge_masks(g, PatternSpec.multipartite(r, k), None)
                 assert masks == referee_masks(g, PatternSpec.multipartite(r, k), None)
                 checked += bool(masks)
         assert checked >= 60
@@ -217,16 +223,16 @@ class TestCopyEdgeMasks:
             for r in (1, 2, 3):
                 for parts in (None, spec):
                     pattern = PatternSpec.multipartite(r, 1)
-                    assert _copy_edge_masks(g, pattern, parts) == referee_masks(g, pattern, parts)
+                    assert copy_edge_masks(g, pattern, parts) == referee_masks(g, pattern, parts)
 
     def test_oversized_patterns_give_no_masks(self):
         g, spec = complete_bipartite(3, 3)
         for pattern in (PatternSpec.krr(4), PatternSpec.krs_oriented(4, 4), PatternSpec.krs_either(2, 4),
                         PatternSpec.multipartite(4, 2)):
-            assert _copy_edge_masks(g, pattern, spec) == []
+            assert copy_edge_masks(g, pattern, spec) == []
         g, spec = complete_multipartite([2, 2, 2])
         for parts in (spec, None):
-            assert _copy_edge_masks(g, PatternSpec.multipartite(3, 3), parts) == []
+            assert copy_edge_masks(g, PatternSpec.multipartite(3, 3), parts) == []
 
     def test_only_copy_vertices_get_a_mask(self):
         # A star's 20,000 leaves are in no copy. A mask for each would be as
@@ -237,7 +243,7 @@ class TestCopyEdgeMasks:
         g = Hypergraph.from_edges(2, n + 5, edges)
         tracemalloc.start()
         try:
-            masks = _copy_edge_masks(g, PatternSpec.krr(2), None)
+            masks = copy_edge_masks(g, PatternSpec.krr(2), None)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -261,7 +267,7 @@ class TestCopyEdgeMasks:
             (g, PatternSpec.multipartite(2, 2), misfit, "not partite"),
         ]
         for host, pattern, parts, text in cases:
-            message = raised(_copy_edge_masks, host, pattern, parts)
+            message = raised(copy_edge_masks, host, pattern, parts)
             assert text in message
             assert message == raised(iter_pattern_copies, host, pattern, parts)
 

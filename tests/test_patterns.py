@@ -168,7 +168,7 @@ class TestGraphKernel:
 
     @staticmethod
     def _kernel_pairs(g: Hypergraph, r: int):
-        masks, labels, _size = _copy_masks(g, r, None, r)
+        masks, labels, _size, _linked = _copy_masks(g, r, None, r)
         return [
             (A, tuple(labels[i] for i in range(mask.bit_length()) if mask >> i & 1))
             for (A,), mask in masks
@@ -707,6 +707,22 @@ class TestMatchings:
             tracemalloc.stop()
         assert elapsed < 0.5
         assert peak < 200 * m
+
+    def test_each_vertex_mask_is_built_once(self):
+        # A leaf's mask is as wide as its edge's position, ~25 MB over the
+        # star's 20,000 leaves. The walk and the closed-form terms share one
+        # index (~34 MB peak); two eager copies of it peaked at ~56 MB.
+        n = 20_000
+        edges = [(0, i) for i in range(1, n + 1)] + [(n + 1, n + 2), (n + 3, n + 4), (n + 5, n + 6)]
+        g = Hypergraph.from_edges(2, n + 7, edges)
+        g.sorted_edges()
+        tracemalloc.start()
+        try:
+            assert count_matchings(g, 3) == 3 * n + 1
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 45 * 2**20
 
     def test_enumeration_agrees_with_count(self):
         hosts = graph_corpus(40, max_n=9, seed=9) + kgraph_corpus(15, seed=19, max_n=12)
