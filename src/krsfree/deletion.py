@@ -261,11 +261,16 @@ def expectation_lower_bound(m: int, r: int, k: int) -> ExpectationBound:
     """Evaluate the expected-size bound exactly at p = (1/2) * m^(-1/q)."""
     params = deletion_params(m, r, k)
     p, q = params.p, params.q
-    value = p * m - factorial(k) ** r * p ** (r**k) * comb(m, r)
-    relaxed = p * m - 2.0 * p ** (r * r) * float(m) ** r if k == 2 else None
+    value = p * m - _times_power(factorial(k) ** r * comb(m, r), p, r**k)
+    relaxed = p * m - _times_power(2 * m**r, p, r * r) if k == 2 else None
     return ExpectationBound(
         m=m, r=r, k=k, q=q, p=p, value=value, relaxed_value=relaxed, floor=params.guarantee
     )
+
+
+def _times_power(count: int, p: float, e: int) -> float:
+    """count * p^e, in logs so that a huge count or a tiny power underflows to 0.0 rather than overflowing."""
+    return math.exp(math.log(count) + e * math.log(p)) if count else 0.0
 
 
 def _fmt_float(x: float) -> str:

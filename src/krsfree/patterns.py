@@ -26,8 +26,10 @@ from __future__ import annotations
 from bisect import bisect_right
 from collections import Counter, defaultdict
 from dataclasses import dataclass
+from functools import reduce
 from itertools import chain, combinations, groupby, permutations, product
 from math import comb, factorial
+from operator import and_
 from typing import Iterable, Iterator, Sequence
 
 import numpy as np
@@ -80,11 +82,14 @@ def pattern_exponent(r: int, k: int) -> int:
 # A loop has three readers: _expand lists its copies, _count counts them, and
 # _copy_edge_masks turns each into a mask over the host's sorted edges. A copy's
 # edges are the edges that meet each of its parts, so its mask ANDs, over the
-# parts, the OR of their vertices' masks in an _Incidence index.
+# parts, the OR of their vertices' masks in the host's _incidence.
 # _matching_masks has the same shape for matchings: S is an (r-1)-matching and
 # the mask holds the edges that extend it. It feeds enumerate_matchings;
 # count_matchings stops one level earlier and counts the disjoint pairs in each
-# mask in closed form. Both read the index's vertex masks.
+# mask in closed form. Every mask keyed by a vertex or a vertex set, the
+# completers of both inductions included, comes from an _Index: it lists each
+# key's positions in one pass and sets a key's mask only when a caller first
+# reads it, so a filter that needs only a count reads the list.
 
 _Masks = Iterable[tuple[tuple, int]]
 _Loop = tuple[_Masks, Sequence[int], int, bool]
@@ -212,20 +217,15 @@ def _partite_masks(a: np.ndarray, rank: np.ndarray, r: int, s: int) -> tuple[_Ma
     ordered = np.empty_like(a)
     ordered[np.arange(len(a))[:, None], rank[a]] = a
     labels, pos = _relabel(ordered[:, -1])
-    completers: dict[Edge, int] = {}
-    for t, p in zip(map(tuple, ordered[:, :-1].tolist()), pos.tolist()):
-        completers[t] = completers.get(t, 0) | 1 << p
-    prefix = np.array([t for t, mask in completers.items() if mask.bit_count() >= s], np.int64)
+    completers = _Index(zip(map(tuple, ordered[:, :-1].tolist()), pos.tolist()))
+    prefix = np.array([t for t, at in completers.at.items() if len(at) >= s], np.int64)
 
     def scan() -> _Masks:
-        masks, prefix_labels = _partite_masks(prefix.reshape(-1, a.shape[1] - 1), rank, r, r)
-        for S, mask in masks:
-            for A in combinations(_members(mask, prefix_labels), r):
-                common = -1
-                for t in product(*S, A):
-                    common &= completers[t]
-                if common.bit_count() >= s:
-                    yield (*S, A), common
+        prefixes = _partite_masks(prefix.reshape(-1, a.shape[1] - 1), rank, r, r)
+        for parts in _completions(*prefixes, r):
+            common = reduce(and_, map(completers.__getitem__, product(*parts)))
+            if common.bit_count() >= s:
+                yield parts, common
 
     return scan(), labels.tolist()
 
@@ -247,13 +247,12 @@ def _link_masks(a: np.ndarray, r: int) -> tuple[_Masks, list[int]]:
     searched for copies that cannot be completed.
     """
     labels, pos = _relabel(a)
-    labels, edges = labels.tolist(), list(map(tuple, pos.tolist()))
-    completers: dict[Edge, int] = {}
-    for e in edges:
-        for i, w in enumerate(e):
-            rest = e[:i] + e[i + 1:]
-            completers[rest] = completers.get(rest, 0) | (1 << w)
-    rows = [e for e in edges if (completers[e[1:]] & -(2 << e[0])).bit_count() >= r - 1]
+    labels, edges = labels.tolist(), list(map(tuple, pos[np.lexsort(pos.T[::-1])].tolist()))
+    # combinations(e, k - 1) leaves out e's vertices from the last; with the
+    # edges in lexicographic order, every completer list comes sorted.
+    rests = chain.from_iterable(combinations(e, a.shape[1] - 1) for e in edges)
+    completers = _Index(zip(rests, chain.from_iterable(e[::-1] for e in edges)))
+    rows = [e for e in edges if len(completers.at[e[1:]]) - bisect_right(completers.at[e[1:]], e[0]) >= r - 1]
 
     def scan() -> _Masks:
         for v, copies in _link_copies(np.array(rows, np.int64).reshape(-1, a.shape[1]), r, len(labels)):
@@ -330,44 +329,40 @@ def _first_seen_key(parts: tuple[tuple[int, ...], ...]) -> tuple:
     )
 
 
-class _Incidence(dict):
-    """Vertex set T -> the mask of the sorted edges that contain T, built when first read.
+class _Index(dict):
+    """Key -> the mask of the positions listed in at[key], set when the key is first read.
 
-    A mask is set from T's edge positions in a bytearray, not by | 1 << i,
-    which costs an i-bit int per step; the positions of the sets of one size
-    are listed in one pass over the edges, when the first of them is read.
+    The positions are listed in one pass over (key, position) pairs. A mask is
+    set in a bytearray, not by | 1 << i, which costs an i-bit int per step, so a
+    key nobody reads costs its list alone.
     """
 
-    def __init__(self, edges: Sequence[Edge]) -> None:
-        self.edges = edges
-        self.at: dict[int, dict[Edge, list[int]]] = {}
+    def __init__(self, pairs: Iterable[tuple[object, int]]) -> None:
+        at = self.at = defaultdict(list)
+        for key, i in pairs:
+            at[key].append(i)
 
-    def positions(self, size: int) -> dict[Edge, list[int]]:
-        """Each vertex set of the size inside an edge, with the positions of the edges containing it."""
-        if size not in self.at:
-            at = self.at[size] = defaultdict(list)
-            for i, e in enumerate(self.edges):
-                for T in combinations(e, size):
-                    at[T].append(i)
-        return self.at[size]
-
-    def __missing__(self, T: Edge) -> int:
-        bits = bytearray(len(self.edges) // 8 + 1)
-        for i in self.positions(len(T))[T]:
+    def __missing__(self, key: object) -> int:
+        at = self.at[key]
+        bits = bytearray(max(at) // 8 + 1)
+        for i in at:
             bits[i >> 3] |= 1 << (i & 7)
-        mask = self[T] = int.from_bytes(bits, "little")
+        mask = self[key] = int.from_bytes(bits, "little")
         return mask
 
 
-def _matching_masks(incident: _Incidence, r: int) -> _Masks:
+def _incidence(edges: Sequence[Edge]) -> _Index:
+    """Vertex v -> the mask of the sorted edges containing v; at[v] lists their positions in increasing order."""
+    return _Index((v, i) for i, e in enumerate(edges) for v in e)
+
+
+def _matching_masks(edges: Sequence[Edge], incident: _Index, r: int) -> _Masks:
     """Each (r-1)-matching with the later edges that extend it to an r-matching.
 
-    Edges are bit positions into incident.edges, the sorted edge order. The
-    (r-1)-matchings come as sorted index tuples in lexicographic order, each
+    Edges are bit positions into the sorted edges, whose _incidence is incident.
+    The (r-1)-matchings come as sorted index tuples in lexicographic order, each
     with the mask of edges after its last index that are disjoint from all of it.
     """
-    edges = incident.edges
-
     def grow(chosen: tuple[int, ...], allowed: int) -> _Masks:
         if len(chosen) == r - 1:
             yield chosen, allowed
@@ -375,7 +370,7 @@ def _matching_masks(incident: _Incidence, r: int) -> _Masks:
         for i in _members(allowed, range(len(edges))):
             later = allowed & -(2 << i)
             for v in edges[i]:
-                later &= ~incident[v,]
+                later &= ~incident[v]
             yield from grow(chosen + (i,), later)
 
     return grow((), (1 << len(edges)) - 1)
@@ -388,7 +383,7 @@ def enumerate_matchings(g: Hypergraph, r: int) -> Iterator[Matching]:
     edges = g.sorted_edges()
     return (
         Matching(frozenset([*(edges[i] for i in chosen), last]))
-        for chosen, mask in _matching_masks(_Incidence(edges), r)
+        for chosen, mask in _matching_masks(edges, _incidence(edges), r)
         for last in _members(mask, edges)
     )
 
@@ -416,12 +411,16 @@ def count_matchings(g: Hypergraph, r: int) -> int:
             runs = np.diff(np.flatnonzero(np.r_[True, (rows[1:] != rows[:-1]).any(axis=1), True]))
             total += (-1) ** t * int((runs * (runs - 1) // 2).sum())
         return total
-    # A T in one edge holds no pair, and its mask is never built.
-    incident = _Incidence(g.sorted_edges())
-    terms = [((-1) ** t, incident[T]) for t in range(1, g.k) for T, at in incident.positions(t).items() if len(at) > 1]
+    # E_T is the AND of T's vertex masks. A T in one edge holds no pair and needs none.
+    edges = g.sorted_edges()
+    incident = _incidence(edges)
+    shared = [[(v,) for v, at in incident.at.items() if len(at) > 1]]
+    for t in range(2, g.k):
+        shared.append([T for T, c in Counter(chain.from_iterable(combinations(e, t) for e in edges)).items() if c > 1])
+    terms = [((-1) ** t, reduce(and_, map(incident.__getitem__, T))) for t, Ts in enumerate(shared, 1) for T in Ts]
     return sum(
         comb(A.bit_count(), 2) + sum(sign * comb((A & E_T).bit_count(), 2) for sign, E_T in terms)
-        for _chosen, A in _matching_masks(incident, r - 1)
+        for _chosen, A in _matching_masks(edges, incident, r - 1)
     )
 
 
@@ -514,12 +513,12 @@ def _copy_edge_masks(edges: Sequence[Edge], loops: Iterable[_Loop]) -> list[int]
     the mask's vertices then adds one OR and one AND. In the link kernel's
     pairs S starts with (v,), and B joins v's part.
     """
-    incident = _Incidence(edges)
+    incident = _incidence(edges)
 
     def meets(part: Sequence[int]) -> int:
         union = 0
         for v in part:
-            union |= incident[v,]
+            union |= incident[v]
         return union
 
     masks = []
@@ -529,7 +528,7 @@ def _copy_edge_masks(edges: Sequence[Edge], loops: Iterable[_Loop]) -> list[int]
             common = -1
             for part in S[1:] if linked else S:
                 common &= meets(part)
-            for B in combinations([incident[v,] for v in _members(mask, labels)], size):
+            for B in combinations([incident[v] for v in _members(mask, labels)], size):
                 union = head
                 for b in B:
                     union |= b

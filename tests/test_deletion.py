@@ -250,6 +250,15 @@ class TestExpectationBound:
     def test_no_relaxed_value_for_hypergraphs(self):
         assert expectation_lower_bound(128, 2, 3).relaxed_value is None
 
+    def test_large_r_underflows_instead_of_overflowing(self):
+        # float(m) ** r overflowed at (10^6, 60); comb(m, r) times a power that
+        # underflows to 0.0 overflowed converting the count to float.
+        for m, r in ((10**6, 60), (10**6, 100), (10**4, 200)):
+            eb = expectation_lower_bound(m, r, 2)
+            assert eb.value == pytest.approx(eb.p * m, rel=1e-12)
+            assert eb.relaxed_value == pytest.approx(eb.p * m, rel=1e-12)
+            assert eb.value >= eb.floor
+
     def test_relaxed_below_main_for_graphs(self):
         # the relaxed count bound is weaker, so the relaxed size bound is lower
         for m in (2, 5, 27, 1000):

@@ -390,6 +390,24 @@ class TestPartiteKernel:
             with pytest.raises(ValueError, match="not partite"):
                 list(enumerate_copies(g, r, bad))
 
+    def test_sparse_host_memory_follows_its_edges(self):
+        # Each prefix held an eager mask of its last-part completers, as wide
+        # as the largest, so this host peaked at ~29 MB.
+        size, m = 10_000, 30_000
+        rng = random.Random(2424)
+        edges = set()
+        while len(edges) < m:
+            edges.add(tuple(i * size + rng.randrange(size) for i in range(3)))
+        g = Hypergraph.from_edges(3, 3 * size, edges)
+        spec = PartitionSpec.from_parts(range(i * size, (i + 1) * size) for i in range(3))
+        tracemalloc.start()
+        try:
+            assert count_copies(g, 2, spec) == 0
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 20 * 2**20
+
 
 class TestKGraphCopies:
     def test_matches_brute_force(self):
@@ -488,6 +506,23 @@ class TestKGraphKernel:
                 masks, labels = _link_masks(_edge_array(g.edges, g.k), r)
                 got = [(S, tuple(labels[i] for i in range(mask.bit_length()) if mask >> i & 1)) for S, mask in masks]
                 assert got == brute_link_masks(g, r)
+
+    def test_sparse_host_memory_follows_its_edges(self):
+        # Each (k-1)-set of an edge held an eager mask of its completers, as
+        # wide as the largest, so a sparse host peaked at ~84 MB here.
+        n = 20_000
+        rng = random.Random(2323)
+        edges = set()
+        while len(edges) < n:
+            edges.add(tuple(sorted(rng.sample(range(n), 3))))
+        g = Hypergraph.from_edges(3, n, edges)
+        tracemalloc.start()
+        try:
+            assert count_copies(g, 2) == 0
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 40 * 2**20
 
     def test_all_edges_through_one_vertex(self):
         # Vertex 0's link is complete, with 1,365,378 4-cycles, but no other
