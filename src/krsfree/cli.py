@@ -2,8 +2,10 @@
 
 Subcommands: construct, count, extract, oracle, certify, bounds.
 Exit codes: 0 success, 1 usage error, 2 bad or ill-fitting input file (or
-unwritable output), 3 capacity error, 4 internal error: a failed count bound
-or an unexpected exception, which prints its traceback; either is a bug.
+unwritable output), 3 capacity error (a construction over its budget, or an
+input deeper than the interpreter's recursion limit), 4 internal error: a
+failed count bound or an unexpected exception, which prints its traceback;
+either is a bug.
 
 All floats are printed with 12 significant digits and reruns with the same
 arguments are byte-identical.
@@ -312,7 +314,7 @@ def build_parser() -> _Parser:
         description="Largest biclique-free subgraph toolkit for k-uniform hypergraphs.",
         epilog=(
             "Exit codes: 0 success, 1 usage, 2 unreadable, malformed or ill-fitting "
-            "input file, 3 capacity, 4 internal error (a bug)."
+            "input file, 3 capacity (construction budget or recursion limit), 4 internal error (a bug)."
         ),
     )
     sub = parser.add_subparsers(dest="command", required=True)
@@ -406,7 +408,8 @@ def main(argv: list[str] | None = None) -> int:
     except (InputError, OSError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return EXIT_IO
-    except CapacityError as exc:
+    # Every recursion is r or k levels deep, so hitting the limit means the input is too deep.
+    except (CapacityError, RecursionError) as exc:
         sys.stderr.write(f"capacity error: {exc}\n")
         return EXIT_CAPACITY
     except Exception:

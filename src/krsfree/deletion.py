@@ -17,7 +17,6 @@ import io
 import json
 import math
 from dataclasses import dataclass, fields
-from math import comb, factorial
 
 import numpy as np
 
@@ -28,7 +27,9 @@ from .hypergraph import (
     PartitionSpec,
     _sample,
 )
-from .patterns import count_copies, enumerate_copies, pattern_exponent
+from .patterns import (
+    copy_count_upper_bound, copy_count_upper_bound_relaxed, count_copies, enumerate_copies, pattern_exponent
+)
 
 EDGE_CHOICE_POLICIES = ("lex", "random", "greedy")
 
@@ -261,8 +262,8 @@ def expectation_lower_bound(m: int, r: int, k: int) -> ExpectationBound:
     """Evaluate the expected-size bound exactly at p = (1/2) * m^(-1/q)."""
     params = deletion_params(m, r, k)
     p, q = params.p, params.q
-    value = p * m - _times_power(factorial(k) ** r * comb(m, r), p, r**k)
-    relaxed = p * m - _times_power(2 * m**r, p, r * r) if k == 2 else None
+    value = p * m - _times_power(copy_count_upper_bound(m, r, k), p, r**k)
+    relaxed = p * m - _times_power(copy_count_upper_bound_relaxed(m, r), p, r * r) if k == 2 else None
     return ExpectationBound(
         m=m, r=r, k=k, q=q, p=p, value=value, relaxed_value=relaxed, floor=params.guarantee
     )

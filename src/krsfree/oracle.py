@@ -35,7 +35,8 @@ incumbent:
     met while a copy exists. The seed is fixed, so the output is
     byte-reproducible.
 If the incumbent meets the bound, it is optimal and is returned with zero
-nodes explored.
+nodes explored. A host with no copy takes the same path: its bound is m, and
+its one pass keeps every edge.
 
 Otherwise a depth-first branch and bound over edge deletions runs on an
 explicit stack. Each node keeps the copies of its parent's list that miss the
@@ -294,14 +295,6 @@ def max_free_subgraph(
     m = len(edges)
     copy_masks = _copy_edge_masks(edges, _pattern_masks(g, pattern, spec))
     full = (1 << m) - 1
-    if not copy_masks:
-        return OracleResult(
-            optimum=m,
-            witness=EdgeSubset(g, frozenset(edges)),
-            nodes_explored=0,
-            proof_of_optimality=True,
-            upper_bound=m,
-        )
     upper_bound = _root_bound(g, pattern, spec)
     # The search stops once the incumbent deletes no more than this.
     floor = m - upper_bound
@@ -317,7 +310,7 @@ def max_free_subgraph(
             bit = rest & -rest
             through[bit.bit_length() - 1].append(c)
             rest ^= bit
-    in_copy = np.array([bool(cs) for cs in through])
+    in_copy = np.array([bool(cs) for cs in through], bool)
     copy_free = int.from_bytes(np.packbits(~in_copy, bitorder="little").tobytes(), "little")
     # The fewest deletions found so far, and the edges that solution keeps.
     fewest, best_kept = m, 0

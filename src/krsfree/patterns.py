@@ -76,11 +76,12 @@ def pattern_exponent(r: int, k: int) -> int:
 # transversal of S, as bit positions into a label sequence. A copy is S plus any
 # s-set of them (s = r but for the oriented oracle patterns), except in
 # _link_masks, where S starts with (v,) and the copy adds an (r-1)-set to v's
-# part. _link_masks recurses one uniformity down, and _partite_masks one part
-# down, until both reach the wedge scan on graphs. Each call reads its edges as
-# one (m, k) int64 array, and all set-up before a scan is numpy over it.
-# A loop has three readers: _expand lists its copies, _count counts them, and
-# _copy_edge_masks turns each into a mask over the host's sorted edges. A copy's
+# part. _link_masks recurses one uniformity down, through the same _unordered
+# dispatch as the host, one link at a time, and _partite_masks one part down,
+# until both reach the wedge scan on graphs. Each call reads its edges as one
+# (m, k) int64 array, and all set-up before a scan is numpy over it.
+# A loop has three readers: _expand lists its copies, count_copies counts them,
+# and _copy_edge_masks turns each into a mask over the host's sorted edges. A copy's
 # edges are the edges that meet each of its parts, so its mask ANDs, over the
 # parts, the OR of their vertices' masks in the host's _incidence.
 # _matching_masks has the same shape for matchings: S is an (r-1)-matching and
@@ -255,7 +256,7 @@ def _link_masks(a: np.ndarray, r: int) -> tuple[_Masks, list[int]]:
     rows = [e for e in edges if len(completers.at[e[1:]]) - bisect_right(completers.at[e[1:]], e[0]) >= r - 1]
 
     def scan() -> _Masks:
-        for v, copies in _link_copies(np.array(rows, np.int64).reshape(-1, a.shape[1]), r, len(labels)):
+        for v, copies in _link_copies(rows, r):
             for C in copies:
                 # Start from every position above v. A transversal's own
                 # vertices never complete it, so the AND also clears C's.
@@ -271,25 +272,15 @@ def _link_masks(a: np.ndarray, r: int) -> tuple[_Masks, list[int]]:
     return scan(), labels
 
 
-def _link_copies(rows: np.ndarray, r: int, n: int) -> Iterator[tuple[int, Iterator[tuple[tuple[int, ...], ...]]]]:
+def _link_copies(rows: list[Edge], r: int) -> Iterator[tuple[int, Iterator[tuple[tuple[int, ...], ...]]]]:
     """Each row tag v, in increasing order, with the unordered copies in its link {e : (v, *e) a row}.
 
-    Graph links are peeled in one pass, as one graph on the vertices v * n + w (w < n); each link's
-    core is then scanned on its own, over positions from its first, so its masks stay narrow.
+    The rows come sorted. Each link is searched on its own by _unordered, over
+    positions into its own labels, so its masks stay narrow.
     """
-    if rows.shape[1] > 3:
-        for v, link in groupby(sorted(rows.tolist()), key=lambda row: row[0]):
-            masks, labels = _link_masks(np.array([row[1:] for row in link], np.int64), r)
-            yield v, _unordered_copies(masks, labels, r - 1)
-        return
-    core, nbrs, cuts = _r_core(rows[:, :1] * n + rows[:, 1:], r)
-    tags, labels = np.divmod(core, n)
-    nbrs = nbrs - tags.searchsorted(tags)[nbrs]
-    bounds = np.flatnonzero(np.diff(tags, prepend=-1)).tolist() + [len(core)]
-    nbrs, cuts, labels, tags = nbrs.tolist(), cuts.tolist(), labels.tolist(), tags.tolist()
-    for lo, hi in zip(bounds, bounds[1:]):
-        masks = _wedge_scan(nbrs, cuts[lo:hi + 1], r, r, labels[lo:hi])
-        yield tags[lo], _completions(masks, labels[lo:hi], r)
+    for v, link in groupby(rows, key=lambda row: row[0]):
+        masks, labels, size, linked = _unordered(np.array([row[1:] for row in link], np.int64), r)
+        yield v, (_unordered_copies if linked else _completions)(masks, labels, size)
 
 
 def _members(mask: int, labels: Sequence[int]) -> list[int]:
@@ -463,9 +454,9 @@ def extensions_of_matching(
 def _copy_masks(g: Hypergraph, r: int, spec: PartitionSpec | None, s: int) -> _Loop:
     """The mask loop for r-sets with s completions, its labels, mask vertices per copy, and if it is the link kernel's.
 
-    Checks r and the partition, then picks the kernel: k = 1, anchored,
-    unordered graph, or the link kernel for unordered k >= 3, which takes
-    s = r and adds r - 1 mask vertices to the least vertex's part.
+    Checks r and the partition, then picks the kernel: k = 1, anchored, or
+    _unordered, which takes s = r; the link kernel in it adds r - 1 mask
+    vertices to the least vertex's part.
     """
     if r < 1:
         raise ValueError("pattern side r must be >= 1")
@@ -476,8 +467,13 @@ def _copy_masks(g: Hypergraph, r: int, spec: PartitionSpec | None, s: int) -> _L
         return [((), (1 << g.m) - 1)], np.sort(a[:, 0]).tolist(), s, False
     if spec is not None:
         return (*_partite_masks(a, spec._labels, r, s), s, False)
-    if g.k == 2:
-        return (*_graph_masks(a, r, s), s, False)
+    return _unordered(a, r)
+
+
+def _unordered(a: np.ndarray, r: int) -> _Loop:
+    """The _copy_masks loop of unordered side-r copies in the edge rows a: the graph kernel, or the link kernel."""
+    if a.shape[1] == 2:
+        return (*_graph_masks(a, r, r), r, False)
     return (*_link_masks(a, r), r - 1, True)
 
 
@@ -499,11 +495,6 @@ def _expand(masks: _Masks, labels: Sequence[int], size: int, linked: bool) -> It
         groups = groupby(_unordered_copies(masks, labels, size), key=lambda parts: parts[0][0])
         return (PatternCopy(parts) for _v, group in groups for parts in sorted(group, key=_first_seen_key))
     return map(PatternCopy, _completions(masks, labels, size))
-
-
-def _count(masks: _Masks, s: int) -> int:
-    """Number of copies the masks expand to, each S plus an s-set of its mask."""
-    return sum(comb(mask.bit_count(), s) for _S, mask in masks)
 
 
 def _copy_edge_masks(edges: Sequence[Edge], loops: Iterable[_Loop]) -> list[int]:
@@ -541,7 +532,7 @@ def _copy_edge_masks(edges: Sequence[Edge], loops: Iterable[_Loop]) -> list[int]
 def count_copies(g: Hypergraph, r: int, spec: PartitionSpec | None = None) -> int:
     """Number of copies of the side-r pattern, equal to the enumeration's length."""
     masks, _labels, size, _linked = _copy_masks(g, r, spec, r)
-    return _count(masks, size)
+    return sum(comb(mask.bit_count(), size) for _S, mask in masks)
 
 
 def copy_count_upper_bound(m: int, r: int, k: int) -> int:

@@ -11,7 +11,7 @@ from pathlib import Path
 import pytest
 
 import krsfree
-from krsfree import complete_bipartite, write_hypergraph, write_partition
+from krsfree import Hypergraph, complete_bipartite, write_hypergraph, write_partition
 from krsfree.cli import (
     EXIT_INTERNAL,
     EXIT_CAPACITY,
@@ -444,7 +444,7 @@ class TestBounds:
 
 
 class TestExitCodes:
-    """2 only for a bad or ill-fitting input file; flag mistakes are 1, bugs are 4."""
+    """2 only for a bad or ill-fitting input file; flag mistakes are 1, too deep an input 3, bugs are 4."""
 
     ILL_FITTING_HOST = "2 6 6\n0 1\n0 2\n0 3\n1 2\n1 3\n4 5\n"
     ILL_FITTING_PARTS = "0 1 4\n2 3 5\n"  # edge 0-1 lies inside a part
@@ -558,6 +558,15 @@ class TestExitCodes:
         assert code == EXIT_INTERNAL
         assert out == ""
         assert "Traceback" in err and "simulated library bug" in err
+
+    def test_deeper_than_the_recursion_limit_is_a_capacity_error(self, capsys, tmp_path):
+        # The matching walk recurses once per matching edge: 1,199 levels here.
+        path = str(tmp_path / "edges.txt")
+        write_hypergraph(Hypergraph.from_edges(2, 4000, [(2 * i, 2 * i + 1) for i in range(2000)]), path)
+        code, out, err = run_cli(capsys, "count", "--input", path, "--r", "1200")
+        assert code == EXIT_CAPACITY
+        assert out == ""
+        assert err.startswith("capacity error: maximum recursion depth exceeded")
 
 
 # "{host}" stands for a K_{2,4} host file, with its partition at "{host}.parts".

@@ -575,6 +575,16 @@ class TestRootBound:
         )
         assert witness_digest(result) == digest
 
+    def test_insertion_passes_walk_only_copy_edges(self):
+        # All 64 passes run (bound below m). Walking the 40,000 copy-free
+        # leaves in every pass took ~3 s; walking the 64 copy edges ~0.35 s (2-core VM).
+        g = Hypergraph.from_edges(2, 40_016, [(i, 8 + j) for i in range(8) for j in range(8)]
+                                  + [(i % 8, 16 + i) for i in range(40_000)])
+        start = time.perf_counter()
+        result = max_free_subgraph(g, PatternSpec.krr(2), budget=1)
+        assert time.perf_counter() - start < 2.0
+        assert (result.optimum, result.upper_bound) == (40_024, 40_025)
+
     @pytest.mark.parametrize("n", sorted(ZARANKIEWICZ))
     def test_zarankiewicz_table_closes_at_the_root(self, n):
         g, _ = complete_bipartite(n, n)

@@ -498,8 +498,8 @@ class TestKGraphKernel:
         assert count_copies(build_construction(2, 2, 3)[0], 2) == 720
 
     def test_batched_link_cores_match_per_link_referee(self):
-        # _link_masks peels the links of all its vertices in one pass; the
-        # referee searches one link at a time.
+        # _link_masks searches each link through the host's own unordered
+        # dispatch; the referee searches each link by brute force.
         hosts = kgraph_corpus(60, seed=2121) + kgraph_corpus(20, seed=2222, k=4, max_n=10)
         for g in hosts:
             for r in (1, 2, 3):
