@@ -22,13 +22,15 @@ VERDICT_PROVES = "proves-containment"
 VERDICT_INCONCLUSIVE = "inconclusive"
 
 
-# The largest host build_construction builds.
+# The largest host build_construction builds, and the largest exponent q it reports:
+# an n = 1 host has one edge whatever q is, so q has a budget of its own (int64).
 _MAX_VERTICES = 200_000
 _MAX_EDGES = 2_000_000
+_MAX_EXPONENT = 2**63 - 1
 
 
 class CapacityError(Exception):
-    """Requested construction exceeds the vertex or edge budget."""
+    """Requested construction exceeds the vertex, edge or exponent budget."""
 
 
 @dataclass(frozen=True)
@@ -49,14 +51,24 @@ def build_construction(n: int, r: int, k: int) -> tuple[Hypergraph, PartitionSpe
         raise ValueError("need base n >= 1")
     if r < 2 or k < 2:
         raise ValueError("need r >= 2 and k >= 2")
-    q = pattern_exponent(r, k)
-    sizes = tuple(n ** (r**i) for i in range(k))
-    m = n**q
-    total_vertices = sum(sizes)
-    if total_vertices > _MAX_VERTICES:
-        raise CapacityError(f"construction needs {total_vertices} vertices, budget is {_MAX_VERTICES}")
+    # Each budget is checked before the arithmetic it bounds. q >= r^(k-1), so the bit
+    # lengths rule out a q past its budget before it is computed; that also leaves k < 64.
+    if (r.bit_length() - 1) * (k - 1) >= _MAX_EXPONENT.bit_length() or (
+        q := pattern_exponent(r, k)
+    ) > _MAX_EXPONENT:
+        raise CapacityError(f"construction needs an exponent q above {_MAX_EXPONENT}, the exponent budget")
+    # |U_i| = |U_{i-1}|^r is taken only while the total fits and U_{i-1}'s bit length
+    # shows it can: otherwise |U_i| >= 2^((bits - 1) r) > _MAX_VERTICES.
+    sizes = (n,)
+    while len(sizes) < k and sum(sizes) <= _MAX_VERTICES and (
+        (sizes[-1].bit_length() - 1) * r < _MAX_VERTICES.bit_length()
+    ):
+        sizes += (sizes[-1] ** r,)
+    if len(sizes) < k or sum(sizes) > _MAX_VERTICES:
+        raise CapacityError(f"construction needs more than {_MAX_VERTICES} vertices, the vertex budget")
+    m = prod(sizes)  # = n^q, a product of at most five sizes above 1
     if m > _MAX_EDGES:
-        raise CapacityError(f"construction needs {m} edges, budget is {_MAX_EDGES}")
+        raise CapacityError(f"construction needs {m} edges, more than {_MAX_EDGES}, the edge budget")
     g, spec = complete_multipartite(sizes)
     cspec = ConstructionSpec(n=n, r=r, k=k, part_sizes=sizes, q=q, m=m)
     assert g.m == m

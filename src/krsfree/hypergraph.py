@@ -50,7 +50,8 @@ class Hypergraph:
 
     @classmethod
     def _unchecked(cls, k: int, n: int, edges: frozenset[Edge]) -> "Hypergraph":
-        """Build without validation, for a subset of an already valid host's edges."""
+        """Build without validation, for edges that are valid by construction: a
+        builder's output, or a subset of an already valid host's edges."""
         g = object.__new__(cls)
         vars(g).update(k=k, n=n, edges=edges)
         return g
@@ -190,9 +191,8 @@ def complete_multipartite(sizes: Sequence[int]) -> tuple[Hypergraph, PartitionSp
     for s in sizes:
         parts.append(tuple(range(offset, offset + s)))
         offset += s
-    # Consecutive increasing parts make every transversal already sorted.
-    edges = frozenset(product(*parts))
-    g = Hypergraph(len(sizes), offset, edges)
+    # Consecutive increasing parts make every transversal sorted, distinct and in [0, offset).
+    g = Hypergraph._unchecked(len(sizes), offset, frozenset(product(*parts)))
     return g, PartitionSpec(tuple(parts))
 
 
@@ -210,13 +210,12 @@ def link(g: Hypergraph, spec: PartitionSpec, x: int) -> tuple[Hypergraph, Partit
         raise ValueError(f"vertex {x} is not in the last part")
     kept = sorted(v for part in spec.parts[:-1] for v in part)
     relabel = {v: i for i, v in enumerate(kept)}
-    new_edges = frozenset(
-        tuple(sorted(relabel[v] for v in e if v != x)) for e in g.edges if x in e
-    )
-    link_g = Hypergraph(g.k - 1, len(kept), new_edges)
-    link_spec = PartitionSpec(
-        tuple(tuple(sorted(relabel[v] for v in part)) for part in spec.parts[:-1])
-    )
+    # g is partite, so each edge through x has its other k-1 vertices in kept; the
+    # relabelling preserves order, so edges and parts stay sorted, and edges stay
+    # distinct and in [0, len(kept)).
+    new_edges = frozenset(tuple(relabel[v] for v in e if v != x) for e in g.edges if x in e)
+    link_g = Hypergraph._unchecked(g.k - 1, len(kept), new_edges)
+    link_spec = PartitionSpec(tuple(tuple(relabel[v] for v in part) for part in spec.parts[:-1]))
     return link_g, link_spec
 
 

@@ -64,11 +64,12 @@ class Matching:
 def pattern_exponent(r: int, k: int) -> int:
     """q = 1 + r + ... + r^(k-1), the edge-count exponent of the side-r pattern.
 
-    Equals (r^k - 1)/(r - 1) for r >= 2 and reduces to q = r + 1 when k = 2.
+    Computed in closed form, (r^k - 1)/(r - 1) for r >= 2 and k for r = 1; it
+    reduces to q = r + 1 when k = 2.
     """
     if r < 1 or k < 1:
         raise ValueError("need r >= 1 and k >= 1")
-    return sum(r**i for i in range(k))
+    return (r**k - 1) // (r - 1) if r > 1 else k
 
 
 # The common-completion kernel. The copy mask loops yield (S, mask): S is a

@@ -74,6 +74,14 @@ class TestConstruct:
         assert code == EXIT_CAPACITY
         assert "capacity error" in err
 
+    @pytest.mark.parametrize("k, n, budget", [("5", "10", "vertex budget"), ("5000", "1", "exponent budget")])
+    def test_past_a_budget_exits_3_without_a_traceback(self, capsys, k, n, budget):
+        # Both once reached an unprintable integer: 10^(10^4) vertices, and a 5,000-digit q.
+        code, out, err = run_cli(capsys, "construct", "--k", k, "--r", "10", "--n", n)
+        assert code == EXIT_CAPACITY and out == ""
+        assert err.startswith("capacity error:") and budget in err
+        assert "Traceback" not in err
+
 
 class TestCount:
     def test_k33(self, capsys, tmp_path):

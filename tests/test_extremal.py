@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import time
 from fractions import Fraction
 from itertools import combinations
 from math import comb
@@ -69,6 +70,23 @@ class TestConstruction:
         # 127 + 127^2 vertices fit, but 127^3 = 2,048,383 edges do not.
         with pytest.raises(CapacityError, match="edges"):
             build_construction(127, 2, 2)
+
+    @pytest.mark.parametrize(
+        "n, r, k", [(10, 10, 8), (10, 10, 9), (10**5000, 2, 2)], ids=["10-10-8", "10-10-9", "n=10^5000"]
+    )
+    def test_over_the_vertex_budget_is_caught_before_the_powers(self, n, r, k):
+        # The last part alone would have n^(r^(k-1)) vertices: (10, 10, 9) has 10^(10^8) of them.
+        start = time.perf_counter()
+        with pytest.raises(CapacityError, match="vertex budget"):
+            build_construction(n, r, k)
+        assert time.perf_counter() - start < 1.0
+
+    @pytest.mark.parametrize("r, k", [(2, 64), (10, 5000), (2, 10**9), (10**100, 2)])
+    def test_exponent_budget_on_one_edge_hosts(self, r, k):
+        with pytest.raises(CapacityError, match="exponent q"):
+            build_construction(1, r, k)
+        _, _, cspec = build_construction(1, 2, 63)
+        assert cspec.q == 2**63 - 1 and cspec.m == 1
 
     def test_domain_errors(self):
         with pytest.raises(ValueError):

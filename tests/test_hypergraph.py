@@ -7,6 +7,7 @@ import math
 import random
 import tracemalloc
 import types
+from itertools import product
 
 import numpy as np
 import pytest
@@ -14,6 +15,7 @@ import pytest
 import krsfree
 
 from krsfree import (
+    CapacityError,
     EdgeSubset,
     Hypergraph,
     PartitionSpec,
@@ -271,6 +273,56 @@ class TestBuilders:
             complete_multipartite([])
         with pytest.raises(ValueError, match="sizes must be >= 0"):
             complete_multipartite([2, -1])
+
+
+class TestValidByConstruction:
+    """The builders skip the validator, so the referee checks what they build."""
+
+    @staticmethod
+    def _assert_valid(g: Hypergraph) -> None:
+        brute_validate(g.k, g.n, g.edges)
+        rebuilt = Hypergraph(g.k, g.n, g.edges)
+        assert g == rebuilt and hash(g) == hash(rebuilt)
+
+    @pytest.mark.parametrize(
+        "sizes",
+        [(0,), (1,), (5,), (0, 0), (0, 3), (3, 0), (1, 1), (2, 5), (1, 4, 2), (2, 0, 3),
+         (3, 3, 3), (1, 1, 1, 1), (2, 3, 1, 2), (2, 2, 0, 2), (3, 1, 4, 2)],
+    )
+    def test_complete_multipartite(self, sizes):
+        g, spec = complete_multipartite(sizes)
+        self._assert_valid(g)
+        assert brute_is_partite(g, spec) and g.m == math.prod(sizes)
+
+    def test_every_construction_within_the_budgets_for_n_up_to_4(self):
+        # n >= 2 runs out of budget by r = 18 or k = 5; n = 1 builds one edge for any r, k.
+        built = 0
+        for n, r, k in product(range(1, 5), range(2, 19), range(2, 6)):
+            try:
+                g, spec, cspec = build_construction(n, r, k)
+            except CapacityError:
+                continue
+            self._assert_valid(g)
+            assert g.m == cspec.m and spec.parts[-1][-1] == g.n - 1
+            built += 1
+        assert built == 107
+
+    def test_link_on_the_corpus_hosts(self):
+        for g, spec in partite_corpus_small(25, seed=42) + shuffled_partite_corpus(25):
+            for x in spec.parts[-1]:
+                lg, lspec = link(g, spec, x)
+                self._assert_valid(lg)
+                assert brute_is_partite(lg, lspec)
+
+    def test_builders_never_run_the_validator(self, monkeypatch):
+        calls = []
+        validate = Hypergraph.__post_init__
+        monkeypatch.setattr(Hypergraph, "__post_init__", lambda h: calls.append(h) or validate(h))
+        g, spec = complete_multipartite((2, 3, 4))
+        complete_bipartite(3, 9)
+        build_construction(3, 2, 2)
+        link(g, spec, spec.parts[-1][0])
+        assert calls == []
 
 
 class TestPackageSurface:

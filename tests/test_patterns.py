@@ -93,6 +93,11 @@ class TestExponent:
             for k in range(1, 5):
                 assert pattern_exponent(r, k) == (r**k - 1) // (r - 1)
 
+    def test_equals_the_sum_of_powers(self):
+        for r in range(1, 7):
+            for k in range(1, 9):
+                assert pattern_exponent(r, k) == sum(r**i for i in range(k))
+
     def test_graph_case_is_r_plus_one(self):
         for r in range(1, 8):
             assert pattern_exponent(r, 2) == r + 1
