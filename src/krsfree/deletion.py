@@ -149,7 +149,7 @@ def extract_free_subgraph(
     if p is None:
         p = deletion_params(m, r, g.k).p if m >= 1 else 0.0
     sample, rng = _sample(g, p, seed)
-    copies = [sorted(c.edge_set()) for c in enumerate_copies(sample.as_hypergraph(), r, spec)]
+    copies = [sorted(c.edge_set()) for c in enumerate_copies(sample, r, spec)]
 
     through: dict = {}
     for idx, cedges in enumerate(copies):
@@ -174,20 +174,20 @@ def extract_free_subgraph(
                 for e in copies[j]:
                     live[e] -= 1
 
-    final = EdgeSubset(g, sample.edges - deleted)
+    survivors = Hypergraph._unchecked(g.k, g.n, sample.edges - deleted)
     report = DeletionRunReport(
         seed=seed,
         p=float(p),
         edges_sampled=sample.m,
         copies_found=len(copies),
         edges_deleted=len(deleted),
-        final_size=final.m,
-        freeness_verified=count_copies(final.as_hypergraph(), r, spec) == 0,
+        final_size=survivors.m,
+        freeness_verified=count_copies(survivors, r, spec) == 0,
         generator=GENERATOR_ID,
         policy=edge_choice,
-        vacuous_regime=m < 2 ** pattern_exponent(r, g.k),
+        vacuous_regime=m.bit_length() <= pattern_exponent(r, g.k),
     )
-    return final, report
+    return EdgeSubset(g, survivors.edges), report
 
 
 def run_trials(

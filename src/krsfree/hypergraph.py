@@ -219,8 +219,8 @@ def link(g: Hypergraph, spec: PartitionSpec, x: int) -> tuple[Hypergraph, Partit
     return link_g, link_spec
 
 
-def _sample(g: Hypergraph, p: float, seed: int) -> tuple[EdgeSubset, np.random.Generator]:
-    """Keep each edge independently with probability p; return the sample and its generator.
+def _sample(g: Hypergraph, p: float, seed: int) -> tuple[Hypergraph, np.random.Generator]:
+    """Keep each edge independently with probability p; return the kept sub-hypergraph and its generator.
 
     The one seed-to-sample map: a PCG64 generator seeded with seed draws one uniform per
     edge in sorted edge order, so the sample is a pure function of (g, p, seed).
@@ -232,12 +232,12 @@ def _sample(g: Hypergraph, p: float, seed: int) -> tuple[EdgeSubset, np.random.G
     rng = np.random.Generator(np.random.PCG64(seed))
     order = g._sorted_order
     kept = np.flatnonzero(rng.random(len(order)) < p)
-    return EdgeSubset(g, frozenset(order[i] for i in kept.tolist())), rng
+    return Hypergraph._unchecked(g.k, g.n, frozenset(order[i] for i in kept.tolist())), rng
 
 
 def bernoulli_edge_sample(g: Hypergraph, p: float, seed: int) -> EdgeSubset:
     """Deterministic Bernoulli(p) edge sample: same (g, p, seed) gives the same subset."""
-    return _sample(g, p, seed)[0]
+    return EdgeSubset(g, _sample(g, p, seed)[0].edges)
 
 
 def hypergraph_to_text(g: Hypergraph) -> str:

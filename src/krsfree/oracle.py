@@ -199,7 +199,7 @@ def _balanced(t: int, n: int, f: Callable[[int], int]) -> int:
     if n == 0:
         return 0
     q, rem = divmod(t, n)
-    return rem * f(q + 1) + (n - rem) * f(q)
+    return (rem * f(q + 1) if rem else 0) + (n - rem) * f(q)
 
 
 def _link_floor(d: int, sizes: Sequence[int], r: int) -> int:

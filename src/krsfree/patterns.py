@@ -392,6 +392,8 @@ def count_matchings(g: Hypergraph, r: int) -> int:
     """
     if r < 1:
         raise ValueError("matching size r must be >= 1")
+    if r > g.m:
+        return 0
     if r == 1:
         return g.m
     if r == 2:

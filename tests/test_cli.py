@@ -6,6 +6,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -449,6 +450,38 @@ class TestBounds:
         assert run_cli(capsys, "bounds", "--r", "3", "--s", "2", "--n", "2")[0] == EXIT_USAGE
         assert run_cli(capsys, "bounds", "--r", "2", "--k", "3", "--s", "9", "--n", "1")[0] == EXIT_USAGE
         assert run_cli(capsys, "bounds", "--r", "2", "--n", "2", "--budget", "0")[0] == EXIT_USAGE
+
+
+class TestOneEdgeHosts:
+    """The one-edge host at the exponent budget, k = 63: every command runs in time linear in k."""
+
+    HOST = ("--n", "1", "--r", "2", "--k", "63")
+
+    @pytest.mark.parametrize(
+        "argv, first_line",
+        [
+            (("construct",), "63 63 1"),
+            (("count", "--construct"), "m 1"),
+            (("extract", "--construct"), "trials 1 mean 0 min 0 max 0 guarantee 0.25"),
+            (("oracle", "--construct"), "{"),
+            (("bounds",), "n,m,guarantee,upper_bound,oracle_optimum,certified"),
+        ],
+    )
+    def test_each_command_finishes(self, capsys, argv, first_line):
+        start = time.perf_counter()
+        code, out, _ = run_cli(capsys, *argv, *self.HOST)
+        assert time.perf_counter() - start < 2.0
+        assert code == EXIT_OK and out.splitlines()[0] == first_line
+
+    def test_outputs(self, capsys):
+        _, out, _ = run_cli(capsys, "count", "--construct", *self.HOST)
+        assert out == "m 1\ncopies 0\nmatchings 0\ncopy_bound 0\nbounds PASS\n"
+        _, out, _ = run_cli(capsys, "oracle", "--construct", *self.HOST)
+        payload = json.loads(out)
+        assert (payload["optimum"], payload["upper_bound"], payload["proof_of_optimality"]) == (1, 1, True)
+        assert payload["witness_edges"] == [list(range(63))]
+        _, out, _ = run_cli(capsys, "bounds", *self.HOST)
+        assert out.splitlines()[1] == "1,1,0.25,2,1,true"
 
 
 class TestExitCodes:

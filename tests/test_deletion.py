@@ -14,6 +14,7 @@ import pytest
 
 from krsfree import (
     GENERATOR_ID,
+    EdgeSubset,
     Hypergraph,
     build_construction,
     complete_bipartite,
@@ -177,6 +178,44 @@ class TestExtract:
         g2, _ = complete_bipartite(3, 9)  # m = 27 >= 2^3
         _, rep2 = extract_free_subgraph(g2, 2, seed=0)
         assert not rep2.vacuous_regime
+        # At the boundary: m = 7 lies below 2^3, m = 8 does not.
+        assert extract_free_subgraph(complete_bipartite(1, 7)[0], 2, seed=0)[1].vacuous_regime
+        assert not extract_free_subgraph(complete_bipartite(2, 4)[0], 2, seed=0)[1].vacuous_regime
+
+    def test_vacuous_flag_builds_no_power_of_two(self):
+        # q = 2^28 - 1 on this one-edge host: 2^q alone is a 32 MB integer.
+        g, _, cspec = build_construction(1, 2, 28)
+        start = time.perf_counter()
+        _, rep = extract_free_subgraph(g, 2, seed=0)
+        assert time.perf_counter() - start < 0.5
+        assert rep.vacuous_regime and cspec.q == 2**28 - 1
+
+    def test_a_trial_checks_one_edge_subset(self, monkeypatch):
+        """The sample and the survivors are sub-hypergraphs of the host; the
+        subgraph a trial returns is the one EdgeSubset it checks."""
+        g, spec, _ = build_construction(30, 2, 2)
+        calls = []
+        check = EdgeSubset.__post_init__
+        monkeypatch.setattr(EdgeSubset, "__post_init__", lambda sub: calls.append(sub) or check(sub))
+        final, _ = extract_free_subgraph(g, 2, 11, spec)
+        assert len(calls) == 1 and calls[0] is final
+        calls.clear()
+        run_trials(g, 2, 5, base_seed=3, spec=spec)
+        assert len(calls) == 5
+
+    def test_trial_sample_is_the_public_sample(self, monkeypatch):
+        from krsfree import bernoulli_edge_sample, deletion
+
+        seen = []
+        enumerate_copies = deletion.enumerate_copies
+        monkeypatch.setattr(deletion, "enumerate_copies", lambda h, *a: seen.append(h) or enumerate_copies(h, *a))
+        hosts = [*graph_corpus(30, max_n=9, seed=646), *kgraph_corpus(10, seed=656), build_construction(3, 2, 2)[0]]
+        for g in hosts:
+            for seed in (0, 1, 7):
+                _, rep = extract_free_subgraph(g, 2, seed)
+                sample = seen.pop()
+                assert sample == bernoulli_edge_sample(g, rep.p, seed).as_hypergraph()
+                assert sample == Hypergraph(g.k, g.n, sample.edges) and sample.m == rep.edges_sampled
 
     def test_domain_errors(self):
         g, _ = complete_bipartite(2, 2)

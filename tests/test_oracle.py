@@ -444,6 +444,25 @@ class TestRootBound:
         assert _root_bound(g, PatternSpec.krr(2), None) == 10_004
         assert len(calls) < 300
 
+    def test_link_floor_skips_the_term_it_does_not_weight(self, monkeypatch):
+        # On one-vertex parts every level splits its edges with no remainder. Evaluating
+        # the remainder's term there anyway doubled the calls per level: 2^k - 1 in all.
+        from krsfree import oracle
+
+        calls = []
+        floor = oracle._link_floor
+
+        def counted(*a):
+            calls.append(a)
+            if len(calls) > 200:
+                raise AssertionError("_link_floor called more than 200 times")
+            return floor(*a)
+
+        monkeypatch.setattr(oracle, "_link_floor", counted)
+        g, spec, _ = build_construction(1, 2, 20)
+        assert _root_bound(g, PatternSpec.multipartite(2, 20), spec) == 1
+        assert len(calls) == 20
+
     def test_unordered_graph_pattern_gets_the_colouring_bound(self):
         # multipartite(r, 2) without a partition enumerates krr(r)'s copies, so
         # a 2-colouring of a bipartite host bounds it the same way.

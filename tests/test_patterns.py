@@ -676,6 +676,16 @@ class TestMatchings:
         for g in graph_corpus(20, seed=606):
             assert count_matchings(g, 1) == g.m
 
+    def test_more_edges_than_the_host_has(self):
+        # The r = 2 closed form indexes all 2^k - 2 column subsets, whatever m is.
+        for g in [*graph_corpus(20, max_n=5, seed=626), *kgraph_corpus(10, seed=636, max_n=5)]:
+            for r in (g.m + 1, g.m + 2):
+                assert count_matchings(g, r) == 0 == len(list(enumerate_matchings(g, r)))
+        g = build_construction(1, 2, 20)[0]
+        start = time.perf_counter()
+        assert count_matchings(g, 2) == 0
+        assert time.perf_counter() - start < 0.3
+
     def test_rejects_size_below_one_at_the_call(self):
         g, _ = complete_bipartite(2, 2)
         with pytest.raises(ValueError, match="matching size r must be >= 1"):
