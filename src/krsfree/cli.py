@@ -19,6 +19,7 @@ import sys
 import traceback
 from collections.abc import Callable
 from contextlib import contextmanager
+from functools import cache
 
 from .deletion import (
     EDGE_CHOICE_POLICIES,
@@ -308,6 +309,7 @@ def cmd_bounds(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
+@cache
 def build_parser() -> _Parser:
     parser = _Parser(
         prog="krsfree",

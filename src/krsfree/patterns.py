@@ -78,7 +78,8 @@ def pattern_exponent(r: int, k: int) -> int:
 # s-set of them (s = r but for the oriented oracle patterns), except in
 # _link_masks, where S starts with (v,) and the copy adds an (r-1)-set to v's
 # part. _link_masks recurses one uniformity down, through the same _unordered
-# dispatch as the host, one link at a time, and _partite_masks one part down,
+# dispatch as the host, one link at a time, and ANDs each member's completers
+# once per pair of the link's loop; _partite_masks recurses one part down,
 # until both reach the wedge scan on graphs. Each call reads its edges as one
 # (m, k) int64 array, and all set-up before a scan is numpy over it.
 # A loop has three readers: _expand lists its copies, count_copies counts them,
@@ -257,31 +258,38 @@ def _link_masks(a: np.ndarray, r: int) -> tuple[_Masks, list[int]]:
     rows = [e for e in edges if len(completers.at[e[1:]]) - bisect_right(completers.at[e[1:]], e[0]) >= r - 1]
 
     def scan() -> _Masks:
-        for v, copies in _link_copies(rows, r):
-            for C in copies:
-                # Start from every position above v. A transversal's own
-                # vertices never complete it, so the AND also clears C's.
-                common = -(2 << v)
-                for t in product(*C):
-                    common &= completers[tuple(sorted(t))]
-                    if not common:
-                        break
-                if common.bit_count() >= r - 1:
-                    S = ((v,), *C)
-                    yield tuple(tuple(labels[u] for u in part) for part in S), common
+        for v, (masks, link_labels, size, linked) in _link_copies(rows, r):
+            # Start from every position above v. A transversal's own vertices
+            # never complete it, so the AND also clears the copy's.
+            above = -(2 << v)
+            for S, mask in masks:
+                # The pair's copies share all parts but one, grown by a size-set R
+                # of the mask: (v', *R) for S = ((v',), *C'), a last part R in a
+                # graph link. The AND over the transversals through each x of it
+                # is taken once per pair; a copy ANDs one through(x) per x in R,
+                # so at size 0 (r = 1) no member is read.
+                grown, fixed = (S[0], S[1:]) if linked else ((), S)
+                def through(x: int) -> int:
+                    return reduce(and_, (completers[tuple(sorted((x, *f)))] for f in product(*fixed)), above)
+                base = reduce(and_, map(through, grown), above)
+                xs = _members(mask, link_labels) if size else []
+                head, named = tuple(labels[x] for x in grown), [tuple(labels[u] for u in part) for part in fixed]
+                for R, ands in zip(combinations([labels[x] for x in xs], size), combinations(map(through, xs), size)):
+                    common = reduce(and_, ands, base)
+                    if common.bit_count() >= r - 1:
+                        yield ((labels[v],), *((head + R, *named) if linked else (*named, R))), common
 
     return scan(), labels
 
 
-def _link_copies(rows: list[Edge], r: int) -> Iterator[tuple[int, Iterator[tuple[tuple[int, ...], ...]]]]:
-    """Each row tag v, in increasing order, with the unordered copies in its link {e : (v, *e) a row}.
+def _link_copies(rows: list[Edge], r: int) -> Iterator[tuple[int, _Loop]]:
+    """Each row tag v, in increasing order, with the _unordered loop of its link {e : (v, *e) a row}.
 
     The rows come sorted. Each link is searched on its own by _unordered, over
     positions into its own labels, so its masks stay narrow.
     """
     for v, link in groupby(rows, key=lambda row: row[0]):
-        masks, labels, size, linked = _unordered(np.array([row[1:] for row in link], np.int64), r)
-        yield v, (_unordered_copies if linked else _completions)(masks, labels, size)
+        yield v, _unordered(np.array([row[1:] for row in link], np.int64), r)
 
 
 def _members(mask: int, labels: Sequence[int]) -> list[int]:

@@ -19,6 +19,7 @@ from krsfree.cli import (
     EXIT_IO,
     EXIT_OK,
     EXIT_USAGE,
+    build_parser,
     main,
 )
 from krsfree.deletion import REPORT_CSV_COLUMNS
@@ -708,6 +709,28 @@ class TestParserBehaviour:
         assert exc.value.code == 0
         # argparse rewraps the description, so compare with the line breaks folded.
         assert ", ".join(REPORT_CSV_COLUMNS) in " ".join(capsys.readouterr().out.split())
+
+    def test_one_parser_per_process_keeps_no_state(self, capsys, monkeypatch):
+        # The parser is built once per process; each call in a row must print
+        # what a fresh process prints for the same arguments.
+        assert build_parser() is build_parser()
+        monkeypatch.setenv("COLUMNS", "80")
+        env = dict(os.environ, PYTHONPATH=str(Path(krsfree.__file__).resolve().parents[1]))
+        calls = [
+            ("extract", "--construct", "--k", "2", "--r", "2", "--n", "2", "--s", "9"),
+            ("count", "--construct", "--n", "2", "--r", "2", "--k", "3"),
+            ("extract", "--help"),
+            ("extract", "--help"),
+        ]
+        for argv in calls:
+            try:
+                code = main(list(argv))
+            except SystemExit as exc:
+                code = exc.code
+            captured = capsys.readouterr()
+            fresh = subprocess.run([sys.executable, "-m", "krsfree", *argv], capture_output=True, text=True, env=env)
+            assert (code, captured.out, captured.err) == (fresh.returncode, fresh.stdout, fresh.stderr), argv
+        assert code == EXIT_OK and ", ".join(REPORT_CSV_COLUMNS) in " ".join(captured.out.split())
 
     def test_console_script_installed(self, tmp_path):
         # An install writes a `krsfree` launcher for the entry point in

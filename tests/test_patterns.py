@@ -464,8 +464,14 @@ class TestKGraphKernel:
             for r in (1, 2, 3):
                 self._check(g, r)
 
+    def test_matches_referee_on_5_uniform_corpus(self):
+        # Links of links: the linked branch of _link_masks runs two levels deep.
+        for g in kgraph_corpus(15, seed=1515, k=5, max_n=10):
+            for r in (1, 2, 3):
+                self._check(g, r)
+
     def test_matches_referee_on_shuffled_complete_hosts(self):
-        for sizes in ((3, 3, 3), (2, 3, 4), (2, 2, 3, 3)):
+        for sizes in ((3, 3, 3), (2, 3, 4), (2, 2, 3, 3), (2, 2, 2, 2, 2)):
             for seed in range(2):
                 for drop in (0, 1):
                     g = self._shuffled_complete(sizes, seed, drop)
@@ -502,10 +508,23 @@ class TestKGraphKernel:
             assert time.perf_counter() - start < 1.0
         assert count_copies(build_construction(2, 2, 3)[0], 2) == 720
 
+    def test_link_scan_ands_each_member_once_per_pair(self):
+        # Each member's completer AND is taken once per link pair; ANDing the
+        # r^2 transversals of every copy took 1.3-1.9 s on a 2-core VM.
+        g = build_construction(3, 2, 3)[0]
+        times = []
+        for _ in range(3):
+            start = time.perf_counter()
+            assert count_copies(g, 2) == 349_920
+            times.append(time.perf_counter() - start)
+        assert min(times) < 0.8
+
     def test_batched_link_cores_match_per_link_referee(self):
         # _link_masks searches each link through the host's own unordered
         # dispatch; the referee searches each link by brute force.
+        # At r = 1 a link copy with no completion above v is still a pair.
         hosts = kgraph_corpus(60, seed=2121) + kgraph_corpus(20, seed=2222, k=4, max_n=10)
+        hosts += kgraph_corpus(15, seed=2323, k=5, max_n=10) + [self._shuffled_complete((2, 2, 2, 2, 2), 0)]
         for g in hosts:
             for r in (1, 2, 3):
                 masks, labels = _link_masks(_edge_array(g.edges, g.k), r)
@@ -552,6 +571,7 @@ class TestFrozenCopyOrder:
         "c6_2_2_parts": (3242, "e931969b3c85684d9c3a53d9dc3b347eed3872a5ce5bb941fea42195d13b1db5"),
         "c4_2_3_parts": (3302, "5d12bd099f0fb357f9ef83954a53a86a9bc3727904dd8ce0b3f8ebf3d3a703b3"),
         "k6_8_krs": (464, "fe6f0e53f00fe182391eeee7aab9d920a49b2d93232d222199b36c16e203360e"),
+        "c2_2_3_unordered": (720, "2823d4a127fae9121cd9070688ac95105ad4944e71f40c3febdcc99c41f5edd3"),
     }
 
     @staticmethod
@@ -584,6 +604,11 @@ class TestFrozenCopyOrder:
     def test_anchored_kgraph_order(self):
         lists = [list(enumerate_copies(sub, 2, spec)) for sub, spec in self._samples(4, 3, (0.2, 0.3))]
         assert self._digest(lists) == self.COPY_DIGESTS["c4_2_3_parts"]
+
+    def test_unordered_kgraph_order(self):
+        # Recorded before the link scan ANDed each member once per pair.
+        lists = [list(enumerate_copies(build_construction(2, 2, 3)[0], 2))]
+        assert self._digest(lists) == self.COPY_DIGESTS["c2_2_3_unordered"]
 
     def test_oriented_biclique_order(self):
         lists = []
