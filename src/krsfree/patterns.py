@@ -89,10 +89,11 @@ def pattern_exponent(r: int, k: int) -> int:
 # _matching_masks has the same shape for matchings: S is an (r-1)-matching and
 # the mask holds the edges that extend it. It feeds enumerate_matchings;
 # count_matchings stops one level earlier and counts the disjoint pairs in each
-# mask in closed form. Every mask keyed by a vertex or a vertex set, the
-# completers of both inductions included, comes from an _Index: it lists each
-# key's positions in one pass and sets a key's mask only when a caller first
-# reads it, so a filter that needs only a count reads the list.
+# mask in closed form, but on graphs at r = 3 it needs only the degrees and the
+# triangles. Every mask keyed by a vertex or a vertex set, the completers of
+# both inductions included, comes from an _Index: it lists each key's
+# positions in one pass and sets a key's mask only when a caller first reads
+# it, so a filter that needs only a count reads the list.
 
 _Masks = Iterable[tuple[tuple, int]]
 _Loop = tuple[_Masks, Sequence[int], int, bool]
@@ -396,7 +397,8 @@ def count_matchings(g: Hypergraph, r: int) -> int:
     the edges containing T and T runs over the vertex sets of size 1 to k - 1
     in at least two edges. This is exact: two edges meeting in S != {} are
     subtracted sum over nonempty T in S of (-1)^(|T|+1) = 1 time. At r = 2, A
-    holds every edge, and no mask is built.
+    holds every edge, and no mask is built. Graphs at r = 3 count from their
+    degrees and triangles (_three_matchings), also with no mask.
     """
     if r < 1:
         raise ValueError("matching size r must be >= 1")
@@ -404,6 +406,8 @@ def count_matchings(g: Hypergraph, r: int) -> int:
         return 0
     if r == 1:
         return g.m
+    if r == 3 and g.k == 2:
+        return _three_matchings(_relabel(_edge_array(g.edges, 2))[1])
     if r == 2:
         a, total = _edge_array(g.edges, g.k), comb(g.m, 2)
         for t in range(1, g.k):
@@ -424,6 +428,42 @@ def count_matchings(g: Hypergraph, r: int) -> int:
         comb(A.bit_count(), 2) + sum(sign * comb((A & E_T).bit_count(), 2) for sign, E_T in terms)
         for _chosen, A in _matching_masks(edges, incident, r - 1)
     )
+
+
+def _three_matchings(e: np.ndarray) -> int:
+    """3-matchings of the graph with edge rows e on vertices 0 .. n-1, by inclusion-exclusion over its line graph.
+
+    All triples of edges, less the intersecting pairs (in m - 2 triples each),
+    plus the paths of two, C(d_u - 1, 2) + C(d_v - 1, 2) + X_uv centred on uv
+    (3 sum_v C(d_v, 3) + sum_uv X_uv in all), less the stars and triangles.
+    """
+    deg = np.bincount(e.ravel())
+    # X_uv = (d_u - 1)(d_v - 1) counts the edges e' at u and e'' at v other than
+    # uv, which e', e'' and an end of each fix: the sum is at most 4 m^2.
+    return _by_degree(len(e), deg) + int(((deg[e[:, 0]] - 1) * (deg[e[:, 1]] - 1)).sum()) - _triangles(e, deg)
+
+
+def _by_degree(m: int, deg: np.ndarray) -> int:
+    """C(m, 3) - (m - 2) sum_v C(d_v, 2) + 2 sum_v C(d_v, 3), in Python ints, one term per distinct degree."""
+    ds, times = (x.tolist() for x in np.unique(deg, return_counts=True))
+    return comb(m, 3) + sum(t * (2 * comb(d, 3) - (m - 2) * comb(d, 2)) for d, t in zip(ds, times))
+
+
+def _triangles(e: np.ndarray, deg: np.ndarray) -> int:
+    """Triangles of the graph with edge rows e on vertices 0 .. n-1 of degrees deg.
+
+    Each edge points to its end of higher (degree, position), so a vertex has
+    at most sqrt(2m) out-neighbours, sorted in the keys src * n + dst; a
+    triangle is the one out-wedge of its lowest vertex that a key closes.
+    """
+    n = len(deg)
+    ends = np.sort(deg.argsort(kind="stable").argsort()[e], axis=1)
+    key = np.sort(ends[:, 0] * n + ends[:, 1])
+    later = key.searchsorted((key // n + 1) * n) - np.arange(len(key)) - 1
+    first = np.repeat(np.arange(len(key)), later)
+    second = first + 1 + np.arange(len(first)) - np.repeat(later.cumsum() - later, later)
+    wedges = key[first] % n * n + key[second] % n
+    return int(np.count_nonzero(key.take(key.searchsorted(wedges), mode="clip") == wedges))
 
 
 def extensions_of_matching(

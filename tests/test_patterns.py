@@ -38,9 +38,10 @@ from krsfree import (
     run_trials,
     summary_to_json,
 )
+from krsfree import patterns
 from krsfree.hypergraph import _edge_array
 from krsfree.oracle import iter_pattern_copies
-from krsfree.patterns import _copy_masks, _graph_masks, _link_masks, _partite_masks
+from krsfree.patterns import _by_degree, _copy_masks, _graph_masks, _link_masks, _partite_masks
 
 from bruteforce import (
     brute_copies_unordered,
@@ -798,6 +799,77 @@ class TestMatchings:
         finally:
             tracemalloc.stop()
         assert peak < 45 * 2**20
+
+    def test_walk_builds_each_vertex_mask_once(self):
+        # The walk still serves 3-graphs at r = 3. The star's 20,000 leaves each
+        # get a mask as wide as their edge's position. One shared index peaks at
+        # ~17 MB; an eager copy each for the walk and the terms, at ~33 MB.
+        n = 10_000
+        edges = [(0, 2 * i - 1, 2 * i) for i in range(1, n + 1)]
+        edges += [(2 * n + 1, 2 * n + 2, 2 * n + 3), (2 * n + 4, 2 * n + 5, 2 * n + 6)]
+        g = Hypergraph.from_edges(3, 2 * n + 7, edges)
+        g.sorted_edges()
+        tracemalloc.start()
+        try:
+            assert count_matchings(g, 3) == n
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 25 * 2**20
+
+    def test_graph_triples_match_the_referees(self):
+        # Graphs at r = 3 count from degrees and triangles: triangle-rich random
+        # graphs, unions of cliques and stars (the pairwise meeting triples of
+        # both kinds), labels near 2^62 and hosts with fewer than three edges.
+        rng = random.Random(2727)
+        hosts = [random_graph(12, 0.6, rng) for _ in range(6)]
+
+        def union(blocks):
+            edges, base = [], 0
+            for kind, size in blocks:
+                pairs = combinations(range(size), 2) if kind == "clique" else ((0, i) for i in range(1, size))
+                edges += [(base + u, base + v) for u, v in pairs]
+                base += size
+            return Hypergraph.from_edges(2, base, edges)
+
+        hosts += [union(b) for b in ([("clique", 4), ("star", 5)], [("clique", 3)] * 3,
+                                     [("star", 4), ("star", 3), ("clique", 5)], [("clique", 6), ("clique", 4)])]
+        far = 2**62
+        hosts += [Hypergraph.from_edges(2, far + 12, [(far + u, far + v) for u, v in g.sorted_edges()])
+                  for g in hosts[:2] + hosts[-2:]]
+        hosts += [Hypergraph.from_edges(2, 5, edges) for edges in ([], [(0, 1)], [(0, 1), (2, 3)], [(0, 1), (1, 2)])]
+        assert sum(count_matchings(g, 3) > 0 for g in hosts) >= 12
+        for g in hosts:
+            assert count_matchings(g, 3) == brute_count_matchings(g, 3) == len(list(enumerate_matchings(g, 3)))
+
+    def test_graph_triples_build_no_masks(self, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("graphs at r = 3 build no masks")
+
+        monkeypatch.setattr(patterns, "_incidence", refuse)
+        monkeypatch.setattr(patterns, "_matching_masks", refuse)
+        assert count_matchings(complete_bipartite(4, 64)[0], 3) == 999_936
+        assert count_matchings(random_graph(12, 0.6, random.Random(2828)), 3) > 0
+        with pytest.raises(AssertionError, match="build no masks"):
+            count_matchings(complete_bipartite(4, 64)[0], 4)
+
+    def test_graph_triples_on_a_long_path_follow_the_edges(self):
+        # The mask walk took ~1.1 s on a 2,000-edge path (2-core VM).
+        m = 20_000
+        g = Hypergraph.from_edges(2, m + 1, [(i, i + 1) for i in range(m)])
+        start = time.perf_counter()
+        assert count_matchings(g, 3) == comb(m - 2, 3)
+        assert time.perf_counter() - start < 1.0
+
+    def test_graph_triple_sums_are_exact(self):
+        # A star with 3 * 10^6 leaves and two more edges: the paths of two in its
+        # line graph number ~1.35 * 10^19, past int64, so the degree sums are
+        # Python ints. The leaves' degree 1 adds nothing to them, and no edge has
+        # two ends of degree 2 or more, nor is there a triangle, so the count is
+        # the degree terms alone: one star edge beside the other two.
+        d = 3 * 10**6
+        assert d * comb(d - 1, 2) > 2**63
+        assert _by_degree(d + 2, np.array([d, 1, 1, 1, 1])) == d
 
     def test_enumeration_agrees_with_count(self):
         hosts = graph_corpus(40, max_n=9, seed=9) + kgraph_corpus(15, seed=19, max_n=12)
