@@ -35,7 +35,7 @@ class Hypergraph:
             raise ValueError("uniformity k must be >= 1")
         if self.n < 0:
             raise ValueError("vertex count n must be >= 0")
-        # One numpy pass names the first bad edge; the array is not kept, as a copy would double memory.
+        # One numpy pass names the first bad edge; the array is not kept (see _rows).
         k, n, edges = self.k, self.n, self.edges
         if operator.countOf(map(len, edges), k) != len(edges):
             raise _edge_error(next(e for e in edges if len(e) != k), k, n)
@@ -75,6 +75,14 @@ class Hypergraph:
     def sorted_edges(self) -> list[Edge]:
         """The edges in lexicographic order, as a fresh list the caller may mutate."""
         return list(self._sorted_order)
+
+    @cached_property
+    def _rows(self) -> np.ndarray:
+        # The edges as a read-only (m, k) int64 array in iteration order, built
+        # on first read, so a graph no kernel reads holds no copy; not a field.
+        rows = _edge_array(self.edges, self.k)
+        rows.flags.writeable = False
+        return rows
 
 
 def _edge_array(edges: frozenset[Edge], k: int) -> np.ndarray:
@@ -147,28 +155,20 @@ class EdgeSubset:
 
 def is_partite(g: Hypergraph, spec: PartitionSpec) -> bool:
     """True iff spec has g.k parts covering [0, n) and every edge meets each part once."""
-    return _is_partite(_edge_array(g.edges, g.k), g.n, spec)
-
-
-def _is_partite(a: np.ndarray, n: int, spec: PartitionSpec) -> bool:
-    if spec.k != a.shape[1]:
+    if spec.k != g.k:
         return False
     # Parts are sorted and pairwise disjoint, so they cover [0, n) exactly
     # when their sizes sum to n and each lies within [0, n).
-    if sum(map(len, spec.parts)) != n:
+    if sum(map(len, spec.parts)) != g.n:
         return False
-    if any(part and (part[0] < 0 or part[-1] >= n) for part in spec.parts):
+    if any(part and (part[0] < 0 or part[-1] >= g.n) for part in spec.parts):
         return False
-    rows = np.sort(spec._labels[a], axis=1)
+    rows = np.sort(spec._labels[g._rows], axis=1)
     return bool((rows == np.arange(spec.k)).all())
 
 
 def require_partite(g: Hypergraph, spec: PartitionSpec) -> None:
-    _require_partite(_edge_array(g.edges, g.k), g.n, spec)
-
-
-def _require_partite(a: np.ndarray, n: int, spec: PartitionSpec) -> None:
-    if not _is_partite(a, n, spec):
+    if not is_partite(g, spec):
         raise ValueError("hypergraph is not partite with respect to the given partition")
 
 

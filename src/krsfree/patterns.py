@@ -34,7 +34,7 @@ from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
-from .hypergraph import Edge, Hypergraph, PartitionSpec, _edge_array, _require_partite, require_partite
+from .hypergraph import Edge, Hypergraph, PartitionSpec, require_partite
 
 
 @dataclass(frozen=True)
@@ -80,8 +80,8 @@ def pattern_exponent(r: int, k: int) -> int:
 # part. _link_masks recurses one uniformity down, through the same _unordered
 # dispatch as the host, one link at a time, and ANDs each member's completers
 # once per pair of the link's loop; _partite_masks recurses one part down,
-# until both reach the wedge scan on graphs. Each call reads its edges as one
-# (m, k) int64 array, and all set-up before a scan is numpy over it.
+# until both reach the wedge scan on graphs. Each call reads its graph's _rows,
+# converted once per graph, and all set-up before a scan is numpy over them.
 # A loop has three readers: _expand lists its copies, count_copies counts them,
 # and _copy_edge_masks turns each into a mask over the host's sorted edges. A copy's
 # edges are the edges that meet each of its parts, so its mask ANDs, over the
@@ -394,8 +394,8 @@ def count_matchings(g: Hypergraph, r: int) -> int:
 
     An (r-2)-matching whose later disjoint edges form the mask A starts
     C(|A|, 2) - sum_T (-1)^(|T|+1) C(|A & E_T|, 2) r-matchings, where E_T masks
-    the edges containing T and T runs over the vertex sets of size 1 to k - 1
-    in at least two edges. This is exact: two edges meeting in S != {} are
+    the edges containing T and T runs over the vertex sets in at least two
+    edges (_shared_sets). This is exact: two edges meeting in S != {} are
     subtracted sum over nonempty T in S of (-1)^(|T|+1) = 1 time. At r = 2, A
     holds every edge, and no mask is built. Graphs at r = 3 count from their
     degrees and triangles (_three_matchings), also with no mask.
@@ -407,27 +407,34 @@ def count_matchings(g: Hypergraph, r: int) -> int:
     if r == 1:
         return g.m
     if r == 3 and g.k == 2:
-        return _three_matchings(_relabel(_edge_array(g.edges, 2))[1])
+        return _three_matchings(_relabel(g._rows)[1])
+    shared = list(enumerate(_shared_sets(g._rows), 1))
     if r == 2:
-        a, total = _edge_array(g.edges, g.k), comb(g.m, 2)
-        for t in range(1, g.k):
-            # Sorted, the T-rows of the edges come in runs of length |E_T|.
-            rows = a[:, list(combinations(range(g.k), t))].reshape(-1, t)
-            rows = rows[np.lexsort(rows.T)]
-            runs = np.diff(np.flatnonzero(np.r_[True, (rows[1:] != rows[:-1]).any(axis=1), True]))
-            total += (-1) ** t * int((runs * (runs - 1) // 2).sum())
-        return total
+        return comb(g.m, 2) + sum((-1) ** t * int((c * (c - 1) // 2).sum()) for t, (_Ts, c) in shared)
     # E_T is the AND of T's vertex masks. A T in one edge holds no pair and needs none.
     edges = g.sorted_edges()
     incident = _incidence(edges)
-    shared = [[(v,) for v, at in incident.at.items() if len(at) > 1]]
-    for t in range(2, g.k):
-        shared.append([T for T, c in Counter(chain.from_iterable(combinations(e, t) for e in edges)).items() if c > 1])
-    terms = [((-1) ** t, reduce(and_, map(incident.__getitem__, T))) for t, Ts in enumerate(shared, 1) for T in Ts]
+    terms = [((-1) ** t, reduce(and_, map(incident.__getitem__, T))) for t, (Ts, _c) in shared for T in Ts.tolist()]
     return sum(
         comb(A.bit_count(), 2) + sum(sign * comb((A & E_T).bit_count(), 2) for sign, E_T in terms)
         for _chosen, A in _matching_masks(edges, incident, r - 1)
     )
+
+
+def _shared_sets(a: np.ndarray) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+    """For t = 1, 2, ...: the vertex t-sets in two or more edge rows of a, as increasing rows, and their edge counts.
+
+    It stops at the first t with none, as every (t - 1)-subset of a shared t-set is shared.
+    """
+    for t in range(1, a.shape[1]):
+        # Sorted, the t-sets of the edges come in runs of length |E_T|.
+        sets = a[:, list(combinations(range(a.shape[1]), t))].reshape(-1, t)
+        sets = sets[np.lexsort(sets.T)]
+        starts = np.flatnonzero(np.r_[True, (sets[1:] != sets[:-1]).any(axis=1), True])
+        runs = np.diff(starts)
+        if runs.max(initial=0) < 2:
+            return
+        yield sets[starts[:-1][runs > 1]], runs[runs > 1]
 
 
 def _three_matchings(e: np.ndarray) -> int:
@@ -511,9 +518,9 @@ def _copy_masks(g: Hypergraph, r: int, spec: PartitionSpec | None, s: int) -> _L
     """
     if r < 1:
         raise ValueError("pattern side r must be >= 1")
-    a = _edge_array(g.edges, g.k)
+    a = g._rows
     if spec is not None:
-        _require_partite(a, g.n, spec)
+        require_partite(g, spec)
     if g.k == 1:
         return [((), (1 << g.m) - 1)], np.sort(a[:, 0]).tolist(), s, False
     if spec is not None:

@@ -109,6 +109,24 @@ class TestCount:
         assert code == EXIT_INTERNAL
         assert "copies 9\n" in out and "bounds FAIL\n" in out
 
+    def test_parts_host_is_converted_once(self, capsys, monkeypatch, k24_file):
+        # Validation reads the host into an array and drops it; the partition
+        # check, the copy kernel and the matching count then share its _rows.
+        calls = []
+
+        def counted(edges, k):
+            calls.append(len(edges))
+            return convert(edges, k)
+
+        # Every module that binds the converter counts, wherever it imported it from.
+        convert = krsfree.hypergraph._edge_array
+        for name, module in list(sys.modules.items()):
+            if name.startswith("krsfree") and getattr(module, "_edge_array", None) is convert:
+                monkeypatch.setattr(module, "_edge_array", counted)
+        code, out, _ = run_cli(capsys, "count", "--input", k24_file, "--parts", k24_file + ".parts", "--r", "2")
+        assert code == EXIT_OK and "copies 6\n" in out and "bounds PASS\n" in out
+        assert calls == [8, 8]
+
     def test_k24_copies(self, capsys, k24_file):
         code, out, _ = run_cli(capsys, "count", "--input", k24_file, "--r", "2")
         assert code == EXIT_OK

@@ -452,6 +452,16 @@ class TestSampling:
         assert hash(g) == before_hash == hash(Hypergraph(g.k, g.n, g.edges))
         assert repr(g) == before_repr
 
+    def test_rows_cache_is_built_on_first_read_and_is_not_a_field(self):
+        g = random_graph(12, 0.5, random.Random(6))
+        h = Hypergraph(g.k, g.n, g.edges)
+        # Validation's array is dropped; the cache appears only when read.
+        assert "_rows" not in vars(h)
+        before_repr, before_hash = repr(h), hash(h)
+        assert h._rows.dtype == np.int64 and h._rows.shape == (h.m, h.k)
+        assert sorted(map(tuple, h._rows.tolist())) == h.sorted_edges()
+        assert repr(h) == before_repr and hash(h) == before_hash == hash(g) and h == g
+
     def test_mean_size_matches_p_m(self):
         g, _ = complete_bipartite(25, 40)
         p, m, seeds = 0.3, 1000, 1000

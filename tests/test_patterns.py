@@ -41,7 +41,16 @@ from krsfree import (
 from krsfree import patterns
 from krsfree.hypergraph import _edge_array
 from krsfree.oracle import iter_pattern_copies
-from krsfree.patterns import _by_degree, _copy_masks, _graph_masks, _link_masks, _partite_masks
+from krsfree.patterns import (
+    _by_degree,
+    _copy_masks,
+    _graph_masks,
+    _link_masks,
+    _partite_masks,
+    _relabel,
+    _shared_sets,
+    _three_matchings,
+)
 
 from bruteforce import (
     brute_copies_unordered,
@@ -871,6 +880,15 @@ class TestMatchings:
         assert d * comb(d - 1, 2) > 2**63
         assert _by_degree(d + 2, np.array([d, 1, 1, 1, 1])) == d
 
+    def test_disjoint_edges_stop_at_the_first_unshared_size(self):
+        # No vertex lies in two edges, so no vertex set does. Scanning every size
+        # up to k - 1 took 0.34 s for two 18-edges at r = 2, x4 per +2 in k (2-core VM).
+        for blocks, k, r, expected in ((2, 40, 2, 1), (3, 30, 3, 1), (5, 40, 4, 5)):
+            g = Hypergraph.from_edges(k, blocks * k, [range(i * k, (i + 1) * k) for i in range(blocks)])
+            start = time.perf_counter()
+            assert count_matchings(g, r) == expected
+            assert time.perf_counter() - start < 0.1
+
     def test_enumeration_agrees_with_count(self):
         hosts = graph_corpus(40, max_n=9, seed=9) + kgraph_corpus(15, seed=19, max_n=12)
         rng = random.Random(39)
@@ -883,6 +901,61 @@ class TestMatchings:
                 for mtch in ms:
                     verts = mtch.vertices()
                     assert len(verts) == len(set(verts))
+
+
+class TestKernelsIgnoreRowOrder:
+    """Hypergraph._rows keeps the edges in set iteration order, unsorted, so
+    every kernel must give the same loops, labels and counts for any row order."""
+
+    @staticmethod
+    def _both(g: Hypergraph, seed: int) -> tuple[np.ndarray, np.ndarray]:
+        return g._rows, g._rows[np.random.default_rng(seed).permutation(g.m)]
+
+    @staticmethod
+    def _loop(masks, labels) -> tuple[list, list]:
+        return list(masks), list(labels)
+
+    def test_rows_are_read_only(self):
+        g, _ = complete_bipartite(2, 3)
+        assert g._rows is g._rows
+        with pytest.raises(ValueError, match="read-only"):
+            g._rows[0, 0] = 1
+
+    def test_graph_kernel_and_triples(self):
+        for seed, g in enumerate(graph_corpus(40, seed=3131)):
+            a, b = self._both(g, seed)
+            for r in (1, 2, 3):
+                assert self._loop(*_graph_masks(a, r, r)) == self._loop(*_graph_masks(b, r, r))
+            assert _three_matchings(_relabel(a)[1]) == _three_matchings(_relabel(b)[1])
+
+    def test_partite_kernel(self):
+        hosts = partite_corpus_small(40, seed=3232) + shuffled_partite_corpus(40, seed=3333)
+        assert {g.k for g, _spec in hosts} >= {2, 3}
+        for seed, (g, spec) in enumerate(hosts):
+            if g.k > 3:
+                continue
+            a, b = self._both(g, seed)
+            for r in (1, 2):
+                for s in (r, r + 1):
+                    got = [self._loop(*_partite_masks(rows, spec._labels, r, s)) for rows in (a, b)]
+                    assert got[0] == got[1]
+
+    def test_link_kernel(self):
+        for seed, g in enumerate(kgraph_corpus(25, seed=3434) + kgraph_corpus(15, seed=3535, k=4)):
+            a, b = self._both(g, seed)
+            for r in (1, 2):
+                assert self._loop(*_link_masks(a, r)) == self._loop(*_link_masks(b, r))
+
+    def test_shared_sets(self):
+        rng = random.Random(3636)
+        hosts = graph_corpus(20, seed=3737) + kgraph_corpus(20, seed=3838) + kgraph_corpus(10, seed=3939, k=4)
+        hosts += [random_kgraph(12, 5, 0.005, rng) for _ in range(10)]
+        assert sum(len(list(_shared_sets(g._rows))) > 1 for g in hosts) >= 20
+        for seed, g in enumerate(hosts):
+            a, b = self._both(g, seed)
+            assert [(T.tolist(), c.tolist()) for T, c in _shared_sets(a)] == [
+                (T.tolist(), c.tolist()) for T, c in _shared_sets(b)
+            ]
 
 
 class TestExtensions:

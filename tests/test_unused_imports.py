@@ -1,8 +1,12 @@
-"""Every imported name in the package, the tests and the demos is used, and so is every local and private definition in the package."""
+"""Every imported name in the package, the tests and the demos is used, and so is every local and private definition in the package.
+
+The package imports only the standard library and numpy, its one runtime dependency.
+"""
 
 from __future__ import annotations
 
 import ast
+import sys
 from pathlib import Path
 
 import pytest
@@ -76,6 +80,24 @@ def unused_private_definitions(sources: dict[str, str]) -> list[str]:
     return [f"{module}.{name} (line {line})" for module, line, name in sorted(defined) if name not in used]
 
 
+# scipy and networkx serve the tests alone; CI installs them, so only this check keeps them out.
+RUNTIME = sys.stdlib_module_names | {"numpy"}
+
+
+def foreign_imports(source: str) -> list[str]:
+    """Absolute imports, at any depth, whose top-level package is neither the standard library nor numpy."""
+    foreign = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            names = [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom) and not node.level:
+            names = [node.module]
+        else:
+            continue
+        foreign += [f"{name} (line {node.lineno})" for name in names if name.split(".")[0] not in RUNTIME]
+    return foreign
+
+
 def test_the_check_sees_an_unused_name():
     source = "import os\nimport numpy as np\nfrom x import a, b\nprint(np.pi, a)\n"
     assert unused_imports(source) == ["b (line 3)", "os (line 1)"]
@@ -111,6 +133,25 @@ def test_the_check_sees_an_unused_private_definition():
         "c": "def _imported():\n    pass\nclass _Unread:\n    pass\n",
     }
     assert unused_private_definitions(sources) == ["a._dead (line 1)", "c._Unread (line 3)"]
+
+
+def test_the_check_sees_a_foreign_import():
+    source = (
+        "from __future__ import annotations\n"
+        "import os.path, numpy as np\n"
+        "import scipy.sparse\n"
+        "from . import patterns\n"
+        "from .hypergraph import Edge\n"
+        "def f():\n"
+        "    from networkx import Graph\n"
+        "    from numpy.linalg import norm\n"
+    )
+    assert foreign_imports(source) == ["scipy.sparse (line 3)", "networkx (line 7)"]
+
+
+@pytest.mark.parametrize("path", PACKAGE, ids=lambda p: p.name)
+def test_runtime_imports_only_the_standard_library_and_numpy(path):
+    assert foreign_imports(path.read_text(encoding="utf-8")) == []
 
 
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: f"{p.parent.name}/{p.name}")
