@@ -29,8 +29,8 @@ from dataclasses import dataclass
 from functools import reduce
 from itertools import chain, combinations, groupby, permutations, product
 from math import comb, factorial
-from operator import and_
-from typing import Iterable, Iterator, Sequence
+from operator import and_, itemgetter
+from typing import Callable, Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -74,18 +74,19 @@ def pattern_exponent(r: int, k: int) -> int:
 
 # The common-completion kernel. The copy mask loops yield (S, mask): S is a
 # tuple of r-sets and the mask holds the vertices that complete every
-# transversal of S, as bit positions into a label sequence. A copy is S plus any
-# s-set of them (s = r but for the oriented oracle patterns), except in
-# _link_masks, where S starts with (v,) and the copy adds an (r-1)-set to v's
-# part. _link_masks recurses one uniformity down, through the same _unordered
-# dispatch as the host, one link at a time, and ANDs each member's completers
-# once per pair of the link's loop; _partite_masks recurses one part down,
-# until both reach the wedge scan on graphs. Each call reads its graph's _rows,
-# converted once per graph, and all set-up before a scan is numpy over them.
-# A loop has three readers: _expand lists its copies, count_copies counts them,
-# and _copy_edge_masks turns each into a mask over the host's sorted edges. A copy's
-# edges are the edges that meet each of its parts, so its mask ANDs, over the
-# parts, the OR of their vertices' masks in the host's _incidence.
+# transversal of S, as bit positions into a label sequence. A copy adds an
+# s-set R of them (s = r but for the oriented oracle patterns): R joins S[0]
+# in a linked loop, _link_masks', where S starts with (v,), and follows S in
+# the others. Both inductions build their pairs by one step, _lift, from the
+# copies of a loop one level down, ANDing each mask member's completers once
+# per pair: _partite_masks one part down, _link_masks one uniformity down in
+# each link, until both reach the wedge scan on graphs. Each call reads its
+# graph's _rows, converted once per graph, and all set-up before a scan is
+# numpy over them. A loop has three readers: _expand, the one expansion, lists
+# its copies, count_copies counts them, and _copy_edge_masks turns each into a
+# mask over the host's sorted edges. A copy's edges are the edges that meet
+# each of its parts, so its mask ANDs, over the parts, the OR of their
+# vertices' masks in the host's _incidence.
 # _matching_masks has the same shape for matchings: S is an (r-1)-matching and
 # the mask holds the edges that extend it. It feeds enumerate_matchings;
 # count_matchings stops one level earlier and counts the disjoint pairs in each
@@ -213,8 +214,8 @@ def _partite_masks(a: np.ndarray, rank: np.ndarray, r: int, s: int) -> tuple[_Ma
     part. Two parts are the graph kernel, the first part ranked first. For
     k >= 3, S's transversals each have s or more completions in the last part,
     so S is an anchored copy of that prefix graph, found one part down, and its
-    mask ANDs their completer masks, as in _link_masks. S comes in
-    lexicographic order, as a product scan gives it.
+    mask ANDs their completer masks (_lift). S comes in lexicographic order, as
+    a product scan gives it.
     """
     if a.shape[1] == 2:
         return _graph_masks(a, r, s, rank)
@@ -224,14 +225,11 @@ def _partite_masks(a: np.ndarray, rank: np.ndarray, r: int, s: int) -> tuple[_Ma
     completers = _Index(zip(map(tuple, ordered[:, :-1].tolist()), pos.tolist()))
     prefix = np.array([t for t, at in completers.at.items() if len(at) >= s], np.int64)
 
-    def scan() -> _Masks:
-        prefixes = _partite_masks(prefix.reshape(-1, a.shape[1] - 1), rank, r, r)
-        for parts in _completions(*prefixes, r):
-            common = reduce(and_, map(completers.__getitem__, product(*parts)))
-            if common.bit_count() >= s:
-                yield parts, common
+    def through(x: int, fixed: tuple) -> int:
+        return reduce(and_, (completers[(*f, x)] for f in product(*fixed)))
 
-    return scan(), labels.tolist()
+    prefixes = _partite_masks(prefix.reshape(-1, a.shape[1] - 1), rank, r, r)
+    return _lift((*prefixes, r, False), through, -1, s), labels.tolist()
 
 
 def _link_masks(a: np.ndarray, r: int) -> tuple[_Masks, list[int]]:
@@ -239,9 +237,9 @@ def _link_masks(a: np.ndarray, r: int) -> tuple[_Masks, list[int]]:
 
     a holds the edges as sorted rows. A copy whose least vertex is v leaves the
     copy C of its other k - 1 parts in the link above v, {e - {v} : min(e) = v},
-    found by the same search one uniformity down (_link_copies). The mask holds
-    the vertices above v that complete every transversal of C; v's part is v
-    plus any (r - 1)-set of them. S is ((v,),) + C. As in the graph kernel, the
+    found by _unordered over the link's own labels (_lift). The mask holds the
+    vertices above v that complete every transversal of C; v's part is v plus
+    any (r - 1)-set of them. S is ((v,),) + C. As in the graph kernel, the
     masks are over positions into the returned labels, the vertices of the
     edges in increasing order, and the pairs come in increasing order of v.
 
@@ -251,46 +249,46 @@ def _link_masks(a: np.ndarray, r: int) -> tuple[_Masks, list[int]]:
     searched for copies that cannot be completed.
     """
     labels, pos = _relabel(a)
-    labels, edges = labels.tolist(), list(map(tuple, pos[np.lexsort(pos.T[::-1])].tolist()))
-    # combinations(e, k - 1) leaves out e's vertices from the last; with the
-    # edges in lexicographic order, every completer list comes sorted.
-    rests = chain.from_iterable(combinations(e, a.shape[1] - 1) for e in edges)
+    labels, order = labels.tolist(), np.lexsort(a.T[::-1])
+    # Completers are keyed by sorted label sets, as the links name their copies,
+    # and listed by position. combinations(e, k - 1) leaves out e's vertices
+    # from the last; with the edges in lexicographic order, every list comes sorted.
+    edges, rows = pos[order].tolist(), list(map(tuple, a[order].tolist()))
+    rests = chain.from_iterable(combinations(e, a.shape[1] - 1) for e in rows)
     completers = _Index(zip(rests, chain.from_iterable(e[::-1] for e in edges)))
-    rows = [e for e in edges if len(completers.at[e[1:]]) - bisect_right(completers.at[e[1:]], e[0]) >= r - 1]
+    links = [
+        (e[0], rest) for e, rest in zip(edges, (row[1:] for row in rows))
+        if len(at := completers.at[rest]) - bisect_right(at, e[0]) >= r - 1
+    ]
 
-    def scan() -> _Masks:
-        for v, (masks, link_labels, size, linked) in _link_copies(rows, r):
-            # Start from every position above v. A transversal's own vertices
-            # never complete it, so the AND also clears the copy's.
-            above = -(2 << v)
-            for S, mask in masks:
-                # The pair's copies share all parts but one, grown by a size-set R
-                # of the mask: (v', *R) for S = ((v',), *C'), a last part R in a
-                # graph link. The AND over the transversals through each x of it
-                # is taken once per pair; a copy ANDs one through(x) per x in R,
-                # so at size 0 (r = 1) no member is read.
-                grown, fixed = (S[0], S[1:]) if linked else ((), S)
-                def through(x: int) -> int:
-                    return reduce(and_, (completers[tuple(sorted((x, *f)))] for f in product(*fixed)), above)
-                base = reduce(and_, map(through, grown), above)
-                xs = _members(mask, link_labels) if size else []
-                head, named = tuple(labels[x] for x in grown), [tuple(labels[u] for u in part) for part in fixed]
-                for R, ands in zip(combinations([labels[x] for x in xs], size), combinations(map(through, xs), size)):
-                    common = reduce(and_, ands, base)
-                    if common.bit_count() >= r - 1:
-                        yield ((labels[v],), *((head + R, *named) if linked else (*named, R))), common
+    def through(x: int, fixed: tuple) -> int:
+        return reduce(and_, (completers[tuple(sorted((x, *f)))] for f in product(*fixed)))
 
-    return scan(), labels
+    # Start from every position above v. A transversal's own vertices never
+    # complete it, so the AND also clears the copy's.
+    return chain.from_iterable(
+        _lift(_unordered(np.array([rest for _v, rest in link], np.int64), r), through, -(2 << v), r - 1, ((labels[v],),))
+        for v, link in groupby(links, key=itemgetter(0))
+    ), labels
 
 
-def _link_copies(rows: list[Edge], r: int) -> Iterator[tuple[int, _Loop]]:
-    """Each row tag v, in increasing order, with the _unordered loop of its link {e : (v, *e) a row}.
+def _lift(loop: _Loop, through: Callable[[int, tuple], int], start: int, s: int, head: tuple = ()) -> _Masks:
+    """Each copy of the loop, its parts after head, with its transversals' completers ANDed from start, if s or more.
 
-    The rows come sorted. Each link is searched on its own by _unordered, over
-    positions into its own labels, so its masks stay narrow.
+    A pair's copies share every part but the one R grows (see _expand), so
+    through(x, fixed), the AND over the fixed parts' transversals through x, is
+    taken once per pair for each x of the grown part and of the mask; a copy
+    ANDs one per x in R, so at size 0 (r = 1) no mask member is read.
     """
-    for v, link in groupby(rows, key=lambda row: row[0]):
-        yield v, _unordered(np.array([row[1:] for row in link], np.int64), r)
+    masks, labels, size, linked = loop
+    for S, mask in masks:
+        grown, fixed = (S[0], S[1:]) if linked else ((), S)
+        base = reduce(and_, (through(x, fixed) for x in grown), start)
+        xs = _members(mask, labels) if size else []
+        for R, ands in zip(combinations(xs, size), combinations([through(x, fixed) for x in xs], size)):
+            common = reduce(and_, ands, base)
+            if common.bit_count() >= s:
+                yield ((*head, grown + R, *fixed) if linked else (*head, *fixed, R)), common
 
 
 def _members(mask: int, labels: Sequence[int]) -> list[int]:
@@ -301,16 +299,6 @@ def _members(mask: int, labels: Sequence[int]) -> list[int]:
         members.append(labels[low.bit_length() - 1])
         mask ^= low
     return members
-
-
-def _completions(masks: _Masks, labels: Sequence[int], s: int) -> Iterator[tuple[tuple[int, ...], ...]]:
-    """Expand each (S, mask) into the copies' parts S + (B,), B an s-set of the mask's labels."""
-    return (S + (B,) for S, mask in masks for B in combinations(_members(mask, labels), s))
-
-
-def _unordered_copies(masks: _Masks, labels: Sequence[int], size: int) -> Iterator[tuple[tuple[int, ...], ...]]:
-    """Expand _link_masks' pairs into copies, v's part gaining a size-set of the mask; parts sorted by minimum."""
-    return (((v, *R), *C) for ((v,), *C), mask in masks for R in combinations(_members(mask, labels), size))
 
 
 def _first_seen_key(parts: tuple[tuple[int, ...], ...]) -> tuple:
@@ -424,17 +412,26 @@ def count_matchings(g: Hypergraph, r: int) -> int:
 def _shared_sets(a: np.ndarray) -> Iterator[tuple[np.ndarray, np.ndarray]]:
     """For t = 1, 2, ...: the vertex t-sets in two or more edge rows of a, as increasing rows, and their edge counts.
 
-    It stops at the first t with none, as every (t - 1)-subset of a shared t-set is shared.
+    It stops at the first t with none, as every (t - 1)-subset of a shared t-set
+    is shared. From t = 2 on, a row keeps its shared vertices first, in order,
+    in as many columns as the widest needs: a set with an unshared vertex lies
+    in one edge, so an edge costs at most 2^s sets, s the most any edge shares.
     """
     for t in range(1, a.shape[1]):
         # Sorted, the t-sets of the edges come in runs of length |E_T|.
         sets = a[:, list(combinations(range(a.shape[1]), t))].reshape(-1, t)
-        sets = sets[np.lexsort(sets.T)]
+        order = np.lexsort(sets.T)
+        sets = sets[order]
         starts = np.flatnonzero(np.r_[True, (sets[1:] != sets[:-1]).any(axis=1), True])
         runs = np.diff(starts)
         if runs.max(initial=0) < 2:
             return
         yield sets[starts[:-1][runs > 1]], runs[runs > 1]
+        if t == 1:
+            shared = np.empty(a.shape, bool)
+            shared.ravel()[order] = np.repeat(runs > 1, runs)
+            if (width := shared.sum(axis=1).max()) < a.shape[1]:
+                a = np.take_along_axis(a, (~shared).argsort(axis=1, kind="stable")[:, :width], axis=1)
 
 
 def _three_matchings(e: np.ndarray) -> int:
@@ -546,13 +543,16 @@ def enumerate_copies(
 
 
 def _expand(masks: _Masks, labels: Sequence[int], size: int, linked: bool) -> Iterator[PatternCopy]:
-    """The copies of a _copy_masks loop in enumeration order."""
+    """The copies of a _copy_masks loop in enumeration order, a size-set R of each mask joining S[0] or following S."""
+    copies = (
+        (S[0] + R, *S[1:]) if linked else (*S, R) for S, mask in masks for R in combinations(_members(mask, labels), size)
+    )
     if linked:
         # Each least vertex's copies are sorted on their own, so the iterator
         # stays lazy from one least vertex to the next.
-        groups = groupby(_unordered_copies(masks, labels, size), key=lambda parts: parts[0][0])
+        groups = groupby(copies, key=lambda parts: parts[0][0])
         return (PatternCopy(parts) for _v, group in groups for parts in sorted(group, key=_first_seen_key))
-    return map(PatternCopy, _completions(masks, labels, size))
+    return map(PatternCopy, copies)
 
 
 def _copy_edge_masks(edges: Sequence[Edge], loops: Iterable[_Loop]) -> list[int]:
@@ -573,10 +573,9 @@ def _copy_edge_masks(edges: Sequence[Edge], loops: Iterable[_Loop]) -> list[int]
     masks = []
     for loop, labels, size, linked in loops:
         for S, mask in loop:
-            head = meets(S[0]) if linked else 0
-            common = -1
-            for part in S[1:] if linked else S:
-                common &= meets(part)
+            grown, fixed = (S[0], S[1:]) if linked else ((), S)
+            head = meets(grown)
+            common = reduce(and_, map(meets, fixed), -1)
             for B in combinations([incident[v] for v in _members(mask, labels)], size):
                 union = head
                 for b in B:
