@@ -2,10 +2,10 @@
 
 Subcommands: construct, count, extract, oracle, certify, bounds.
 Exit codes: 0 success, 1 usage error, 2 bad or ill-fitting input file (or
-unwritable output), 3 capacity error (a construction over its budget, or an
-input deeper than the interpreter's recursion limit), 4 internal error: a
-failed count bound or an unexpected exception, which prints its traceback;
-either is a bug.
+unwritable output), 3 capacity error (a construction over its budget, an
+input deeper than the interpreter's recursion limit, or out of memory), 4
+internal error: a failed count bound or an unexpected exception, which prints
+its traceback; either is a bug.
 
 All floats are printed with 12 significant digits and reruns with the same
 arguments are byte-identical.
@@ -316,7 +316,7 @@ def build_parser() -> _Parser:
         description="Largest biclique-free subgraph toolkit for k-uniform hypergraphs.",
         epilog=(
             "Exit codes: 0 success, 1 usage, 2 unreadable, malformed or ill-fitting "
-            "input file, 3 capacity (construction budget or recursion limit), 4 internal error (a bug)."
+            "input file, 3 capacity (construction budget, recursion limit or memory), 4 internal error (a bug)."
         ),
     )
     sub = parser.add_subparsers(dest="command", required=True)
@@ -413,6 +413,9 @@ def main(argv: list[str] | None = None) -> int:
     # Every recursion is r or k levels deep, so hitting the limit means the input is too deep.
     except (CapacityError, RecursionError) as exc:
         sys.stderr.write(f"capacity error: {exc}\n")
+        return EXIT_CAPACITY
+    except MemoryError as exc:  # its message is often empty
+        sys.stderr.write(f"capacity error: out of memory {exc}".rstrip() + "\n")
         return EXIT_CAPACITY
     except Exception:
         traceback.print_exc()

@@ -9,7 +9,8 @@ Patterns are described by PatternSpec:
     parts when a partition is supplied, unordered otherwise.
 
 Each copy is a bitmask over the host's sorted edges, built by
-patterns._copy_edge_masks from the copy kernel's loop for each orientation.
+patterns._copy_edge_masks from the copy kernel's loop for each orientation;
+one _incidence index of those edges per call serves it and the root bound.
 
 Before searching, max_free_subgraph computes a root upper bound and an
 incumbent:
@@ -54,7 +55,7 @@ upper_bound - optimum is how far from proven it is.
 from __future__ import annotations
 
 from bisect import bisect_right
-from collections import Counter, defaultdict
+from collections import Counter
 from dataclasses import dataclass
 from itertools import chain
 from math import comb, prod
@@ -63,8 +64,8 @@ from typing import Callable, Iterator, Sequence
 import numpy as np
 
 from .deletion import run_trials
-from .hypergraph import EdgeSubset, Hypergraph, PartitionSpec
-from .patterns import PatternCopy, _copy_edge_masks, _copy_masks, _expand, _Loop
+from .hypergraph import Edge, EdgeSubset, Hypergraph, PartitionSpec
+from .patterns import PatternCopy, _copy_edge_masks, _copy_masks, _expand, _incidence, _Index, _Loop
 
 KIND_KRR = "rr-unordered"
 KIND_KRS_ORIENTED = "rs-oriented"
@@ -168,20 +169,18 @@ class OracleResult:
 _INSERTION_RESTARTS = 64
 
 
-def _two_colouring(g: Hypergraph) -> tuple[list[int], list[int]] | None:
-    """The colour classes of a BFS 2-colouring of g's non-isolated vertices, or None."""
-    adjacent: dict[int, list[int]] = defaultdict(list)
-    for a, b in g.sorted_edges():
-        adjacent[a].append(b)
-        adjacent[b].append(a)
+def _two_colouring(edges: Sequence[Edge], at: dict[int, list[int]]) -> tuple[list[int], list[int]] | None:
+    """The classes of a BFS 2-colouring of the graph's non-isolated vertices, or None; at is _incidence(edges).at."""
     colour: dict[int, int] = {}
-    for root in adjacent:
+    for root in at:
         if root in colour:
             continue
         colour[root] = 0
         queue = [root]
         for v in queue:  # the queue grows while it is read: breadth first
-            for w in adjacent[v]:
+            for i in at[v]:
+                a, b = edges[i]
+                w = b if a == v else a
                 if w not in colour:
                     colour[w] = 1 - colour[v]
                     queue.append(w)
@@ -246,7 +245,7 @@ def _kst_bound(caps: list[int], sizes: Sequence[int], r: int, s: int) -> int:
     return total + min(above, (budget - spent(low)) // step)
 
 
-def _root_bound(g: Hypergraph, pattern: PatternSpec, spec: PartitionSpec | None) -> int:
+def _root_bound(g: Hypergraph, incident: _Index, pattern: PatternSpec, spec: PartitionSpec | None) -> int:
     """The paper's link-induction count as an upper bound on the optimum (m if there is none).
 
     In a free subgraph each choice S of r-sets in U_1 ... U_{k-1} has at most
@@ -254,27 +253,24 @@ def _root_bound(g: Hypergraph, pattern: PatternSpec, spec: PartitionSpec | None)
     patterns). Summing over S, the anchored copies c(L_x) of the links of
     x in U_k add up to at most (s - 1) prod C(|U_i|, r), and c(L_x) is at
     least _link_floor(d_x), so _kst_bound caps sum d_x, with d_x at most x's
-    host degree and U_i counting only vertices with edges. A K_{r,r} copy in a
+    host degree (its list's length in incident, the _incidence of g's sorted
+    edges) and U_i counting only vertices with edges. A K_{r,r} copy in a
     bipartite host has its sides in opposite colour classes of any
-    2-colouring, so krr and the unordered multipartite pattern on a graph,
-    which enumerate the same copies, need no partition. A non-bipartite host
-    and the unordered multipartite pattern at k >= 3 get no bound.
+    2-colouring, so an unanchored pattern on a graph needs no partition. A
+    non-bipartite host and an unanchored pattern at k >= 3 get no bound.
     """
-    if pattern.kind == KIND_KRR or spec is None and g.k == 2:
-        sides = _two_colouring(g)
+    orientations = [o and o.parts for o in _orientations(g, pattern, spec)]
+    at = incident.at
+    if orientations == [None]:
+        sides = _two_colouring(g._sorted_order, at) if g.k == 2 else None
         if sides is None:
             return g.m
         orientations = [sides, sides[::-1]]
-    elif spec is None:
-        return g.m
-    else:
-        orientations = [o.parts for o in _orientations(g, pattern, spec)]
     s = pattern.r if pattern.s is None else pattern.s
-    degree = Counter(v for e in g.edges for v in e)
     return min(
-        _kst_bound(
-            [degree[x] for x in parts[-1] if degree[x]],
-            [sum(1 for u in part if degree[u]) for part in parts[:-1]],
+        _kst_bound(  # at is a defaultdict: reading a key it lacks would insert it
+            [len(at[x]) for x in parts[-1] if x in at],
+            [sum(u in at for u in part) for part in parts[:-1]],
             pattern.r,
             s,
         )
@@ -291,11 +287,12 @@ def max_free_subgraph(
     """Largest pattern-free edge subset, certified optimal unless the budget runs out."""
     if budget < 1:
         raise ValueError("need budget >= 1")
-    edges = g.sorted_edges()
+    edges = g._sorted_order
     m = len(edges)
-    copy_masks = _copy_edge_masks(edges, _pattern_masks(g, pattern, spec))
+    incident = _incidence(edges)
+    copy_masks = _copy_edge_masks(edges, incident, _pattern_masks(g, pattern, spec))
     full = (1 << m) - 1
-    upper_bound = _root_bound(g, pattern, spec)
+    upper_bound = _root_bound(g, incident, pattern, spec)
     # The search stops once the incumbent deletes no more than this.
     floor = m - upper_bound
 

@@ -555,15 +555,13 @@ def _expand(masks: _Masks, labels: Sequence[int], size: int, linked: bool) -> It
     return map(PatternCopy, copies)
 
 
-def _copy_edge_masks(edges: Sequence[Edge], loops: Iterable[_Loop]) -> list[int]:
+def _copy_edge_masks(edges: Sequence[Edge], incident: _Index, loops: Iterable[_Loop]) -> list[int]:
     """The distinct copies of the _copy_masks loops as masks over the sorted edges, in increasing order.
 
-    The AND over S's parts is taken once per pair (S, mask); each s-set B of
-    the mask's vertices then adds one OR and one AND. In the link kernel's
-    pairs S starts with (v,), and B joins v's part.
+    incident is the _incidence of edges. The AND over S's parts is taken once
+    per pair (S, mask); each s-set B of the mask's vertices then adds one OR
+    and one AND. In the link kernel's pairs S starts with (v,), and B joins v's part.
     """
-    incident = _incidence(edges)
-
     def meets(part: Sequence[int]) -> int:
         union = 0
         for v in part:

@@ -7,6 +7,7 @@ counting paths. Tests compare the fast implementations against these.
 
 from __future__ import annotations
 
+from collections import defaultdict
 from itertools import combinations, permutations, product
 
 from krsfree import EdgeSubset, Hypergraph, PartitionSpec
@@ -274,6 +275,32 @@ def brute_count_matchings(g: Hypergraph, r: int) -> int:
         if ok:
             count += 1
     return count
+
+
+def brute_two_colouring(g: Hypergraph) -> tuple[list[int], list[int]] | None:
+    """The colour classes of a BFS 2-colouring over a dict of neighbour lists, or None if g has an odd cycle.
+
+    Vertices are rooted in order of first appearance over the sorted edges, and
+    each lists its neighbours in edge order.
+    """
+    adjacent: dict[int, list[int]] = defaultdict(list)
+    for a, b in g.sorted_edges():
+        adjacent[a].append(b)
+        adjacent[b].append(a)
+    colour: dict[int, int] = {}
+    for root in adjacent:
+        if root in colour:
+            continue
+        colour[root] = 0
+        queue = [root]
+        for v in queue:
+            for w in adjacent[v]:
+                if w not in colour:
+                    colour[w] = 1 - colour[v]
+                    queue.append(w)
+                elif colour[w] == colour[v]:
+                    return None
+    return [v for v, c in colour.items() if c == 0], [v for v, c in colour.items() if c == 1]
 
 
 def copies_as_masks(g: Hypergraph, copies) -> list[int]:

@@ -628,6 +628,16 @@ class TestExitCodes:
         assert out == ""
         assert err.startswith("capacity error: maximum recursion depth exceeded")
 
+    def test_running_out_of_memory_is_a_capacity_error(self, capsys, monkeypatch, k24_file):
+        def exhausted(g, r):
+            raise MemoryError
+
+        monkeypatch.setattr("krsfree.cli.count_matchings", exhausted)
+        code, out, err = run_cli(capsys, "count", "--input", k24_file, "--r", "2")
+        assert code == EXIT_CAPACITY
+        assert out == ""
+        assert err == "capacity error: out of memory\n" and "Traceback" not in err
+
 
 # "{host}" stands for a K_{2,4} host file, with its partition at "{host}.parts".
 HOST = "{host}"

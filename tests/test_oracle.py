@@ -32,15 +32,17 @@ from krsfree.oracle import (
     _link_floor,
     _pattern_masks,
     _root_bound,
+    _two_colouring,
     iter_pattern_copies,
 )
-from krsfree.patterns import _copy_edge_masks
+from krsfree.patterns import _copy_edge_masks, _incidence
 
 from bruteforce import (
     brute_copies_oriented,
     brute_copies_partite,
     brute_copies_unordered,
     brute_max_free,
+    brute_two_colouring,
     copies_as_masks,
     mask_to_subset,
 )
@@ -169,7 +171,12 @@ def referee_masks(g: Hypergraph, pattern: PatternSpec, spec: PartitionSpec | Non
 
 def copy_edge_masks(g: Hypergraph, pattern: PatternSpec, spec: PartitionSpec | None) -> list[int]:
     """The oracle's copy masks: the edge masks of the pattern's loops, one per orientation."""
-    return _copy_edge_masks(g.sorted_edges(), _pattern_masks(g, pattern, spec))
+    return _copy_edge_masks(g._sorted_order, _incidence(g._sorted_order), _pattern_masks(g, pattern, spec))
+
+
+def root_bound(g: Hypergraph, pattern: PatternSpec, spec: PartitionSpec | None) -> int:
+    """The oracle's root bound, read from the index of g's sorted edges that max_free_subgraph builds."""
+    return _root_bound(g, _incidence(g._sorted_order), pattern, spec)
 
 
 def raised(call, *args) -> str:
@@ -426,9 +433,48 @@ class TestRootBound:
         multipartite = PatternSpec.multipartite(2, 3)
         for n, bound in [(2, 86), (3, 1_080)]:
             g, spec, _ = build_construction(n, 2, 3)
-            assert _root_bound(g, multipartite, spec) == bound
-        assert _root_bound(complete_bipartite(2, 4)[0], PatternSpec.krr(2), None) == 5
-        assert _root_bound(build_construction(3, 2, 2)[0], PatternSpec.krr(2), None) == 12
+            assert root_bound(g, multipartite, spec) == bound
+        assert root_bound(complete_bipartite(2, 4)[0], PatternSpec.krr(2), None) == 5
+        assert root_bound(build_construction(3, 2, 2)[0], PatternSpec.krr(2), None) == 12
+
+    def test_two_colouring_matches_the_adjacency_bfs(self):
+        def union(blocks: list[Hypergraph], labels: list[int]) -> Hypergraph:
+            # Block vertices map, in turn, to the next unused entries of labels.
+            edges, base = [], 0
+            for b in blocks:
+                edges += [(labels[base + u], labels[base + v]) for u, v in b.edges]
+                base += b.n
+            return Hypergraph.from_edges(2, max(labels) + 1, edges)
+
+        def cycle(n: int) -> Hypergraph:
+            return Hypergraph.from_edges(2, n, [(i, (i + 1) % n) for i in range(n)])
+
+        rng = random.Random(3030)
+        hosts = list(graph_corpus())
+        for _ in range(60):
+            # Shuffled labels put the root of each block, its least-labelled
+            # vertex with an edge, on either side.
+            blocks = [partite_host((rng.randint(1, 4), rng.randint(1, 5)), rng.uniform(0.3, 1.0), rng)[0]
+                      for _ in range(rng.randint(2, 4))]
+            labels = rng.sample(range(3 * sum(b.n for b in blocks)), sum(b.n for b in blocks))
+            hosts.append(union(blocks, labels))
+            odd = cycle(rng.choice((3, 5, 7)))
+            labels = rng.sample(range(3 * (blocks[0].n + odd.n)), blocks[0].n + odd.n)
+            hosts.append(union([blocks[0], odd], labels))
+        hosts += [cycle(n) for n in (3, 5, 7, 9)]
+        k33 = complete_bipartite(3, 3)[0]
+        hosts += [union([k33, cycle(5)], list(range(11))), union([cycle(5), k33], list(range(11)))]
+        far = 2**62
+        hosts += [Hypergraph.from_edges(2, far + g.n, [(far + u, far + v) for u, v in g.edges])
+                  for g in hosts[-3:] + [k33, disjoint_k33(3)]]
+        hosts.append(Hypergraph(2, 0, frozenset()))
+        outcomes = [0, 0]
+        for g in hosts:
+            edges = g._sorted_order
+            sides = _two_colouring(edges, _incidence(edges).at)
+            assert sides == brute_two_colouring(g)
+            outcomes[sides is None] += 1
+        assert min(outcomes) >= 100
 
     def test_kst_cap_does_not_walk_every_degree_level(self, monkeypatch):
         # A 10,000-leaf star plus a disjoint K_{2,2}: raising the star's centre
@@ -441,7 +487,7 @@ class TestRootBound:
         edges = [(0, leaf) for leaf in range(1, 10_001)]
         edges += [(10_001, 10_003), (10_001, 10_004), (10_002, 10_003), (10_002, 10_004)]
         g = Hypergraph.from_edges(2, 10_005, edges)
-        assert _root_bound(g, PatternSpec.krr(2), None) == 10_004
+        assert root_bound(g, PatternSpec.krr(2), None) == 10_004
         assert len(calls) < 300
 
     def test_link_floor_skips_the_term_it_does_not_weight(self, monkeypatch):
@@ -460,7 +506,7 @@ class TestRootBound:
 
         monkeypatch.setattr(oracle, "_link_floor", counted)
         g, spec, _ = build_construction(1, 2, 20)
-        assert _root_bound(g, PatternSpec.multipartite(2, 20), spec) == 1
+        assert root_bound(g, PatternSpec.multipartite(2, 20), spec) == 1
         assert len(calls) == 20
 
     def test_unordered_graph_pattern_gets_the_colouring_bound(self):
@@ -476,8 +522,8 @@ class TestRootBound:
         for _ in range(40):
             g, _ = partite_host((rng.randint(2, 6), rng.randint(2, 8)), rng.uniform(0.3, 1.0), rng)
             r = rng.choice((2, 3))
-            bound = _root_bound(g, PatternSpec.multipartite(r, 2), None)
-            assert bound == _root_bound(g, PatternSpec.krr(r), None)
+            bound = root_bound(g, PatternSpec.multipartite(r, 2), None)
+            assert bound == root_bound(g, PatternSpec.krr(r), None)
             below_m += bound < g.m
         assert below_m >= 20
 
@@ -519,7 +565,7 @@ class TestRootBound:
             brute_opt, _ = brute_max_free(g, copies_as_masks(g, brute_copies_partite(g, spec, 2)))
             result = max_free_subgraph(g, pattern, spec)
             assert result.proof_of_optimality and result.optimum == brute_opt
-            assert brute_opt <= result.upper_bound == _root_bound(g, pattern, spec) <= g.m
+            assert brute_opt <= result.upper_bound == root_bound(g, pattern, spec) <= g.m
             checked += 1
             below_m += result.upper_bound < g.m
             met += result.upper_bound == brute_opt < g.m
@@ -534,7 +580,32 @@ class TestRootBound:
             oriented = max_free_subgraph(g, PatternSpec.krs_oriented(2, 2), spec)
             assert anchored == oriented
         g, spec = complete_bipartite(4, 16)
-        assert _root_bound(g, PatternSpec.multipartite(2, 2), spec) == 22 < g.m
+        assert root_bound(g, PatternSpec.multipartite(2, 2), spec) == 22 < g.m
+
+    def test_one_index_serves_the_masks_and_the_bound(self, monkeypatch):
+        from krsfree import oracle
+
+        triangle_host = Hypergraph.from_edges(2, 5, [(0, 1), (0, 2), (1, 2), (2, 3), (2, 4), (3, 4), (1, 3)])
+        g223, spec223, _ = build_construction(2, 2, 3)
+        k46, spec46 = complete_bipartite(4, 6)
+        cases = [
+            (complete_bipartite(3, 3)[0], PatternSpec.krr(2), None),
+            (triangle_host, PatternSpec.krr(2), None),
+            (g223, PatternSpec.multipartite(2, 3), spec223),
+            (k46, PatternSpec.krs_either(2, 3), spec46),
+        ]
+        expected = [max_free_subgraph(*case) for case in cases]
+        built = []
+        monkeypatch.setattr(oracle, "_incidence", lambda edges: built.append(edges) or _incidence(edges))
+
+        def refuse(self):
+            raise AssertionError("the oracle copies no sorted edges")
+
+        monkeypatch.setattr(Hypergraph, "sorted_edges", refuse)
+        for case, want in zip(cases, expected):
+            built.clear()
+            assert max_free_subgraph(*case) == want
+            assert len(built) == 1
 
     def test_deep_first_dive_does_not_overflow(self):
         # 340 disjoint K_{3,3}: the first dive deletes about three edges per
