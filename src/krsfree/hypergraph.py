@@ -243,7 +243,7 @@ def bernoulli_edge_sample(g: Hypergraph, p: float, seed: int) -> EdgeSubset:
 def hypergraph_to_text(g: Hypergraph) -> str:
     """Serialize: first line "k n m", then m lines of k space-separated vertices."""
     lines = [f"{g.k} {g.n} {g.m}"]
-    lines.extend(" ".join(str(v) for v in e) for e in g.sorted_edges())
+    lines.extend(" ".join(str(v) for v in e) for e in g._sorted_order)
     return "\n".join(lines) + "\n"
 
 

@@ -11,6 +11,8 @@ Patterns are described by PatternSpec:
 Each copy is a bitmask over the host's sorted edges, built by
 patterns._copy_edge_masks from the copy kernel's loop for each orientation;
 one _incidence index of those edges per call serves it and the root bound.
+max_free_subgraph resolves the pattern once: one _orientations call gives the
+copy loops and the partitions the root bound reads.
 
 Before searching, max_free_subgraph computes a root upper bound and an
 incumbent:
@@ -65,7 +67,7 @@ import numpy as np
 
 from .deletion import run_trials
 from .hypergraph import Edge, EdgeSubset, Hypergraph, PartitionSpec
-from .patterns import PatternCopy, _copy_edge_masks, _copy_masks, _expand, _incidence, _Index, _Loop
+from .patterns import PatternCopy, _copy_edge_masks, _copy_masks, _expand, _incidence
 
 KIND_KRR = "rr-unordered"
 KIND_KRS_ORIENTED = "rs-oriented"
@@ -129,12 +131,6 @@ def _orientations(g: Hypergraph, pattern: PatternSpec, spec: PartitionSpec | Non
     return [spec]
 
 
-def _pattern_masks(g: Hypergraph, pattern: PatternSpec, spec: PartitionSpec | None) -> list[_Loop]:
-    """The _copy_masks loop of each orientation, in a list, so every check runs at the call."""
-    s = pattern.r if pattern.s is None else pattern.s
-    return [_copy_masks(g, pattern.r, parts, s) for parts in _orientations(g, pattern, spec)]
-
-
 def iter_pattern_copies(
     g: Hypergraph, pattern: PatternSpec, spec: PartitionSpec | None = None
 ) -> Iterator[PatternCopy]:
@@ -142,7 +138,8 @@ def iter_pattern_copies(
 
     Oversized patterns yield nothing.
     """
-    return chain.from_iterable([_expand(*loop) for loop in _pattern_masks(g, pattern, spec)])
+    s = pattern.r if pattern.s is None else pattern.s
+    return chain.from_iterable([_expand(*_copy_masks(g, pattern.r, o, s)) for o in _orientations(g, pattern, spec)])
 
 
 def is_free(
@@ -245,36 +242,28 @@ def _kst_bound(caps: list[int], sizes: Sequence[int], r: int, s: int) -> int:
     return total + min(above, (budget - spent(low)) // step)
 
 
-def _root_bound(g: Hypergraph, incident: _Index, pattern: PatternSpec, spec: PartitionSpec | None) -> int:
-    """The paper's link-induction count as an upper bound on the optimum (m if there is none).
+def _root_bound(at: dict[int, list[int]], partitions: list[Sequence[Sequence[int]]], r: int, s: int, m: int) -> int:
+    """The paper's link-induction count over each partition, as an upper bound on the optimum (m if none is given).
 
     In a free subgraph each choice S of r-sets in U_1 ... U_{k-1} has at most
-    s - 1 common completions x in the last part U_k (s = r for the side-r
-    patterns). Summing over S, the anchored copies c(L_x) of the links of
-    x in U_k add up to at most (s - 1) prod C(|U_i|, r), and c(L_x) is at
-    least _link_floor(d_x), so _kst_bound caps sum d_x, with d_x at most x's
-    host degree (its list's length in incident, the _incidence of g's sorted
-    edges) and U_i counting only vertices with edges. A K_{r,r} copy in a
-    bipartite host has its sides in opposite colour classes of any
-    2-colouring, so an unanchored pattern on a graph needs no partition. A
-    non-bipartite host and an unanchored pattern at k >= 3 get no bound.
+    s - 1 common completions x in the last part U_k. Summing over S, the
+    anchored copies c(L_x) of the links of x in U_k add up to at most
+    (s - 1) prod C(|U_i|, r), and c(L_x) is at least _link_floor(d_x), so
+    _kst_bound caps sum d_x, with d_x at most x's host degree (its list's
+    length in at, the _incidence(...).at of the host's sorted edges) and U_i
+    counting only vertices with edges. The least count over the partitions
+    bounds the optimum.
     """
-    orientations = [o and o.parts for o in _orientations(g, pattern, spec)]
-    at = incident.at
-    if orientations == [None]:
-        sides = _two_colouring(g._sorted_order, at) if g.k == 2 else None
-        if sides is None:
-            return g.m
-        orientations = [sides, sides[::-1]]
-    s = pattern.r if pattern.s is None else pattern.s
+    if not partitions:
+        return m
     return min(
         _kst_bound(  # at is a defaultdict: reading a key it lacks would insert it
             [len(at[x]) for x in parts[-1] if x in at],
             [sum(u in at for u in part) for part in parts[:-1]],
-            pattern.r,
+            r,
             s,
         )
-        for parts in orientations
+        for parts in partitions
     )
 
 
@@ -287,12 +276,20 @@ def max_free_subgraph(
     """Largest pattern-free edge subset, certified optimal unless the budget runs out."""
     if budget < 1:
         raise ValueError("need budget >= 1")
+    orientations = _orientations(g, pattern, spec)
+    s = pattern.r if pattern.s is None else pattern.s
     edges = g._sorted_order
     m = len(edges)
     incident = _incidence(edges)
-    copy_masks = _copy_edge_masks(edges, incident, _pattern_masks(g, pattern, spec))
+    copy_masks = _copy_edge_masks(edges, incident, [_copy_masks(g, pattern.r, o, s) for o in orientations])
     full = (1 << m) - 1
-    upper_bound = _root_bound(g, incident, pattern, spec)
+    # The bound reads the anchors' parts. A K_{r,r} copy in a bipartite graph has
+    # its sides in opposite classes of any 2-colouring, so an unanchored graph
+    # pattern reads both orientations of one; other unanchored patterns get none.
+    partitions = [o.parts for o in orientations if o]
+    if not partitions and g.k == 2 and (sides := _two_colouring(edges, incident.at)):
+        partitions = [sides, sides[::-1]]
+    upper_bound = _root_bound(incident.at, partitions, pattern.r, s, m)
     # The search stops once the incumbent deletes no more than this.
     floor = m - upper_bound
 

@@ -369,7 +369,7 @@ def enumerate_matchings(g: Hypergraph, r: int) -> Iterator[Matching]:
     """All r-edge matchings, in lexicographic order of their sorted edge lists; r is checked at the call."""
     if r < 1:
         raise ValueError("matching size r must be >= 1")
-    edges = g.sorted_edges()
+    edges = g._sorted_order
     return (
         Matching(frozenset([*(edges[i] for i in chosen), last]))
         for chosen, mask in _matching_masks(edges, _incidence(edges), r)
@@ -400,7 +400,7 @@ def count_matchings(g: Hypergraph, r: int) -> int:
     if r == 2:
         return comb(g.m, 2) + sum((-1) ** t * int((c * (c - 1) // 2).sum()) for t, (_Ts, c) in shared)
     # E_T is the AND of T's vertex masks. A T in one edge holds no pair and needs none.
-    edges = g.sorted_edges()
+    edges = g._sorted_order
     incident = _incidence(edges)
     terms = [((-1) ** t, reduce(and_, map(incident.__getitem__, T))) for t, (Ts, _c) in shared for T in Ts.tolist()]
     return sum(

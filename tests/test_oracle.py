@@ -30,12 +30,12 @@ from krsfree.oracle import (
     KIND_MULTIPARTITE,
     _kst_bound,
     _link_floor,
-    _pattern_masks,
+    _orientations,
     _root_bound,
     _two_colouring,
     iter_pattern_copies,
 )
-from krsfree.patterns import _copy_edge_masks, _incidence
+from krsfree.patterns import _copy_edge_masks, _copy_masks, _incidence
 
 from bruteforce import (
     brute_copies_oriented,
@@ -171,12 +171,25 @@ def referee_masks(g: Hypergraph, pattern: PatternSpec, spec: PartitionSpec | Non
 
 def copy_edge_masks(g: Hypergraph, pattern: PatternSpec, spec: PartitionSpec | None) -> list[int]:
     """The oracle's copy masks: the edge masks of the pattern's loops, one per orientation."""
-    return _copy_edge_masks(g._sorted_order, _incidence(g._sorted_order), _pattern_masks(g, pattern, spec))
+    s = pattern.r if pattern.s is None else pattern.s
+    loops = [_copy_masks(g, pattern.r, o, s) for o in _orientations(g, pattern, spec)]
+    return _copy_edge_masks(g._sorted_order, _incidence(g._sorted_order), loops)
 
 
 def root_bound(g: Hypergraph, pattern: PatternSpec, spec: PartitionSpec | None) -> int:
-    """The oracle's root bound, read from the index of g's sorted edges that max_free_subgraph builds."""
-    return _root_bound(g, _incidence(g._sorted_order), pattern, spec)
+    """The oracle's root bound over the partitions max_free_subgraph settles, read from its index of g's sorted edges.
+
+    Those are the anchors' parts, or a graph's 2-colouring both ways when the
+    pattern is unanchored; test_one_orientation_call_per_search checks that
+    the oracle reports the same bound.
+    """
+    edges = g._sorted_order
+    at = _incidence(edges).at
+    orientations = _orientations(g, pattern, spec)
+    partitions = [o.parts for o in orientations if o]
+    if not partitions and g.k == 2 and (sides := _two_colouring(edges, at)):
+        partitions = [sides, sides[::-1]]
+    return _root_bound(at, partitions, pattern.r, pattern.r if pattern.s is None else pattern.s, g.m)
 
 
 def raised(call, *args) -> str:
@@ -606,6 +619,36 @@ class TestRootBound:
             built.clear()
             assert max_free_subgraph(*case) == want
             assert len(built) == 1
+
+    def test_one_orientation_call_per_search(self, monkeypatch):
+        # The copy loops and the bound's partitions come from one _orientations
+        # call. The bound reported is the one the test helper settles, pinned.
+        from krsfree import oracle
+
+        triangle_host = Hypergraph.from_edges(2, 5, [(0, 1), (0, 2), (1, 2), (2, 3), (2, 4), (3, 4), (1, 3)])
+        g223, spec223, _ = build_construction(2, 2, 3)
+        k33, spec33 = complete_bipartite(3, 3)
+        k46, spec46 = complete_bipartite(4, 6)
+        cases = [
+            (k33, PatternSpec.krr(2), None),
+            (k33, PatternSpec.krr(2), spec33),
+            (triangle_host, PatternSpec.krr(2), None),
+            (k46, PatternSpec.multipartite(2, 2), None),
+            (k46, PatternSpec.krs_oriented(2, 3), spec46),
+            (k46, PatternSpec.krs_either(2, 3), spec46),
+            (g223, PatternSpec.multipartite(2, 3), spec223),
+            (g223, PatternSpec.multipartite(2, 3), None),
+            (Hypergraph(2, 0, frozenset()), PatternSpec.krr(2), None),
+        ]
+        calls, bounds = [], []
+        orientations = oracle._orientations
+        monkeypatch.setattr(oracle, "_orientations", lambda *a: calls.append(a) or orientations(*a))
+        for g, pattern, spec in cases:
+            calls.clear()
+            bounds.append(max_free_subgraph(g, pattern, spec, budget=50).upper_bound)
+            assert len(calls) == 1
+            assert bounds[-1] == root_bound(g, pattern, spec)
+        assert bounds == [6, 6, 7, 12, 15, 15, 86, 128, 0]
 
     def test_deep_first_dive_does_not_overflow(self):
         # 340 disjoint K_{3,3}: the first dive deletes about three edges per

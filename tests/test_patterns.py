@@ -33,6 +33,7 @@ from krsfree import (
     enumerate_copies,
     enumerate_matchings,
     extensions_of_matching,
+    hypergraph_to_text,
     pattern_exponent,
     reports_to_csv,
     run_trials,
@@ -224,6 +225,18 @@ class TestGraphKernel:
         assert count_copies(g, 2) == 1
         assert [c.parts for c in enumerate_copies(g, 2)] == [((0, 1), (n - 2, n - 1))]
         assert time.perf_counter() - start < 1.0
+
+    def test_dense_scan_carries_its_candidate_masks(self):
+        # A candidate's neighbour mask is built once, by the first a0 that needs
+        # it. Rebuilding it for each a0 took 0.41-0.49 s here against 0.10-0.19 s
+        # on a 2-core VM. The count is sum over pairs of C(codegree, 2), halved.
+        g = random_graph(300, 0.3, random.Random(300))
+        times = []
+        for _ in range(2):
+            start = time.perf_counter()
+            assert count_copies(g, 2) == 8_155_481
+            times.append(time.perf_counter() - start)
+        assert min(times) < 0.4
 
 
 class TestGraphCore:
@@ -802,6 +815,19 @@ class TestMatchings:
         assert count_matchings(g, 3) == 157_608_000
         assert time.perf_counter() - start < 0.5
 
+    def test_kgraph_triples_walk_one_level_short(self):
+        # The r = 3 count walks the 1-matchings and counts the disjoint pairs of
+        # each mask by inclusion-exclusion. Extending every 2-matching instead
+        # took 0.63-1.05 s here against 0.16-0.29 s on a 2-core VM.
+        g = random_kgraph(60, 3, 1000 / comb(60, 3), random.Random(6060))
+        assert g.m == 978
+        times = []
+        for _ in range(2):
+            start = time.perf_counter()
+            assert count_matchings(g, 3) == 96_372_803
+            times.append(time.perf_counter() - start)
+        assert min(times) < 0.6
+
     def test_memory_follows_edges_not_declared_vertices(self):
         g = Hypergraph.from_edges(2, 10**7, [(0, 1), (2, 3), (5, 10**7 - 1)])
         g.sorted_edges()
@@ -813,6 +839,28 @@ class TestMatchings:
         finally:
             tracemalloc.stop()
         assert peak < 10 * 2**20
+
+    def test_library_reads_the_cached_sorted_edges(self, monkeypatch):
+        # The matching walks and the text writer read the host's cached order,
+        # not a fresh list copy of it. The r = 3 count walks on the 3-graph and
+        # is closed-form on K_{3,3}; every value is pinned.
+        def refuse(self):
+            raise AssertionError("the library copies no sorted edges")
+
+        monkeypatch.setattr(Hypergraph, "sorted_edges", refuse)
+        hosts = [
+            (random_kgraph(12, 3, 0.25, random.Random(3131)), 1351,
+             "e2d238680400f47f280ccef5c1fe4e34070241ebc9f369e133b9f1303ba26174",
+             "8f00162fbb4af18e64406867318cbbc38e8f845491354e907a71fd46ec75b66d"),
+            (complete_bipartite(3, 3)[0], 6,
+             "3344e4cc1f2fcc2b10c02ec337c744c1145dd85e769e58e289d746999cbf6f85",
+             "bca44b61f40516f0040a49542ac186b5afb84576ba036569acaf0f081a42417f"),
+        ]
+        for g, count, matchings, text in hosts:
+            listed = [sorted(m.edges) for m in enumerate_matchings(g, 3)]
+            assert count_matchings(g, 3) == len(listed) == count
+            assert hashlib.sha256(repr(listed).encode()).hexdigest() == matchings
+            assert hashlib.sha256(hypergraph_to_text(g).encode()).hexdigest() == text
 
     def test_pairs_on_a_long_path_follow_the_edges(self):
         # The m-wide masks took 0.56 s and 208 MB on a path of 5 * 10^4 edges.
