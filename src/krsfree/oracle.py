@@ -9,10 +9,12 @@ Patterns are described by PatternSpec:
     parts when a partition is supplied, unordered otherwise.
 
 Each copy is a bitmask over the host's sorted edges, built by
-patterns._copy_edge_masks from the copy kernel's loop for each orientation;
-one _incidence index of those edges per call serves it and the root bound.
-max_free_subgraph resolves the pattern once: one _orientations call gives the
-copy loops and the partitions the root bound reads.
+patterns._copy_edge_masks from the copy kernel's loop for each orientation,
+or, for the unordered multipartite pattern at k >= 3, over the host's own
+partition when it has one (patterns._rainbow); one _incidence index of those
+edges per call serves it and the root bound. max_free_subgraph resolves the
+pattern once: one _orientations call gives the copy loops and the partitions
+the root bound reads.
 
 Before searching, max_free_subgraph computes a root upper bound and an
 incumbent:
@@ -27,8 +29,9 @@ incumbent:
     pattern on a graph, use a BFS 2-colouring of the host and take the smaller
     bound of its two orientations; krs_oriented and the anchored multipartite
     pattern use the given parts in order, and krs_either the smaller of both
-    orientations. A non-bipartite host without a partition and the unordered
-    multipartite pattern at k >= 3 get no bound, which is reported as m.
+    orientations. The unordered multipartite pattern at k >= 3 uses the
+    host's own partition. A non-bipartite host without a partition, and a
+    k-graph without its own partition, get no bound, which is reported as m.
   * The incumbent comes from seeded insertion: the edges are added in the
     order of an np.random.default_rng(0) permutation, each unless some copy
     through it would become complete. An edge in no copy is always inserted,
@@ -67,7 +70,7 @@ import numpy as np
 
 from .deletion import run_trials
 from .hypergraph import Edge, EdgeSubset, Hypergraph, PartitionSpec
-from .patterns import PatternCopy, _copy_edge_masks, _copy_masks, _expand, _incidence
+from .patterns import PatternCopy, _copy_edge_masks, _copy_masks, _expand, _incidence, _own_partition
 
 KIND_KRR = "rr-unordered"
 KIND_KRS_ORIENTED = "rs-oriented"
@@ -281,13 +284,19 @@ def max_free_subgraph(
     edges = g._sorted_order
     m = len(edges)
     incident = _incidence(edges)
-    copy_masks = _copy_edge_masks(edges, incident, [_copy_masks(g, pattern.r, o, s) for o in orientations])
+    # An unanchored k-graph pattern's copies are anchored to the host's own
+    # partition P, when it has one: its copy loop and the bound read P.
+    own = _own_partition(g) if orientations == [None] else None
+    copy_masks = _copy_edge_masks(edges, incident, [_copy_masks(g, pattern.r, o, s, own) for o in orientations])
     full = (1 << m) - 1
     # The bound reads the anchors' parts. A K_{r,r} copy in a bipartite graph has
     # its sides in opposite classes of any 2-colouring, so an unanchored graph
-    # pattern reads both orientations of one; other unanchored patterns get none.
+    # pattern reads both orientations of one; an unanchored k-graph pattern reads P.
     partitions = [o.parts for o in orientations if o]
-    if not partitions and g.k == 2 and (sides := _two_colouring(edges, incident.at)):
+    if own is not None:
+        vertices, _ids, rank = own
+        partitions = [[vertices[rank == c].tolist() for c in range(g.k)]]
+    elif not partitions and g.k == 2 and (sides := _two_colouring(edges, incident.at)):
         partitions = [sides, sides[::-1]]
     upper_bound = _root_bound(incident.at, partitions, pattern.r, s, m)
     # The search stops once the incumbent deletes no more than this.

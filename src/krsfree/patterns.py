@@ -18,6 +18,11 @@ extending every r-matching, in order, first meets them (see _first_seen_key).
 An anchored copy's first k - 1 parts are an anchored copy one part down
 (induction on parts); both end in the wedge kernel for graphs.
 
+A k-partite host's unordered copies are the anchored copies of its own
+partition (see _rainbow). Unordered k >= 3 counts and the oracle's copy masks
+take that partition when the host has one; enumeration keeps the link
+kernel, as its order is part of its output.
+
 All counts are exact integers.
 """
 
@@ -98,6 +103,8 @@ def pattern_exponent(r: int, k: int) -> int:
 
 _Masks = Iterable[tuple[tuple, int]]
 _Loop = tuple[_Masks, Sequence[int], int, bool]
+# A host's vertices, its edge rows as positions among them, and each position's part.
+_Own = tuple[np.ndarray, np.ndarray, np.ndarray]
 
 
 def _relabel(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -270,6 +277,49 @@ def _link_masks(a: np.ndarray, r: int) -> tuple[_Masks, list[int]]:
         _lift(_unordered(np.array([rest for _v, rest in link], np.int64), r), through, -(2 << v), r - 1, ((labels[v],),))
         for v, link in groupby(links, key=itemgetter(0))
     ), labels
+
+
+def _rainbow(ids: np.ndarray) -> np.ndarray | None:
+    """A partition P of vertices 0 .. n-1 that every edge row of ids meets once, as each vertex's part, or None.
+
+    In a k-partite host every unordered copy is a P-anchored copy: with all
+    but one vertex of a transversal fixed, the free vertex's part is forced,
+    so each part of the copy lies in one part of P. P is found by forced
+    propagation, the rows taken in lexicographic order, so that P depends on
+    the edges alone: a row with no coloured vertex is coloured 0 .. k-1 along
+    it, and a row left with one uncoloured vertex forces the colour it lacks.
+    A row meeting a colour twice (a conflict) or a row left partly coloured
+    (a stall) gives None. One numpy pass checks P, so a wrong one is never
+    returned.
+    """
+    m, k = ids.shape
+    rows = ids[np.lexsort(ids.T[::-1])]
+    n = int(rows.max(initial=-1)) + 1
+    # The rows through vertex v are through[cuts[v]:cuts[v + 1]].
+    through = (rows.ravel().argsort(kind="stable") // k).tolist()
+    cuts = [0, *np.bincount(rows.ravel(), minlength=n).cumsum().tolist()]
+    # Per row: its uncoloured vertices' count and sum (so the last one is the
+    # sum), and a bit for each colour it meets.
+    left, rest, seen, full = [k] * m, rows.sum(axis=1).tolist(), [0] * m, (1 << k) - 1
+    rows, colour = rows.tolist(), [-1] * n
+    for seed in range(m):
+        if left[seed] < k:
+            continue
+        queue = list(zip(rows[seed], range(k)))
+        for v, c in queue:  # the queue grows while it is read
+            if colour[v] >= 0:  # forced twice: to this colour, or a row met it twice
+                continue
+            colour[v], bit = c, 1 << c
+            for e in through[cuts[v]:cuts[v + 1]]:
+                if seen[e] & bit:
+                    return None
+                seen[e] |= bit
+                left[e] -= 1
+                rest[e] -= v
+                if left[e] == 1:
+                    queue.append((rest[e], (full ^ seen[e]).bit_length() - 1))
+    rank = np.array(colour, np.int64)
+    return rank if (np.sort(rank[ids], axis=1) == np.arange(k)).all() else None
 
 
 def _lift(loop: _Loop, through: Callable[[int, tuple], int], start: int, s: int, head: tuple = ()) -> _Masks:
@@ -506,12 +556,15 @@ def extensions_of_matching(
     return [c for c in map(PatternCopy, candidates) if c.edge_set() <= g.edges]
 
 
-def _copy_masks(g: Hypergraph, r: int, spec: PartitionSpec | None, s: int) -> _Loop:
+def _copy_masks(g: Hypergraph, r: int, spec: PartitionSpec | None, s: int, own: _Own | None = None) -> _Loop:
     """The mask loop for r-sets with s completions, its labels, mask vertices per copy, and if it is the link kernel's.
 
     Checks r and the partition, then picks the kernel: k = 1, anchored, or
     _unordered, which takes s = r; the link kernel in it adds r - 1 mask
-    vertices to the least vertex's part.
+    vertices to the least vertex's part. own, the _own_partition of an
+    unordered k >= 3 host, takes the anchored kernel over it instead: the same
+    copies, in another order, so counts and the oracle pass it and
+    enumeration does not.
     """
     if r < 1:
         raise ValueError("pattern side r must be >= 1")
@@ -522,7 +575,23 @@ def _copy_masks(g: Hypergraph, r: int, spec: PartitionSpec | None, s: int) -> _L
         return [((), (1 << g.m) - 1)], np.sort(a[:, 0]).tolist(), s, False
     if spec is not None:
         return (*_partite_masks(a, spec._labels, r, s), s, False)
+    if own is not None:
+        # The kernel runs on positions into the host's vertices; the loop names them.
+        vertices, ids, rank = own
+        masks, positions = _partite_masks(ids, rank, r, r)
+        names = vertices.tolist()
+        named = ((tuple(tuple(names[v] for v in part) for part in S), mask) for S, mask in masks)
+        return named, [names[v] for v in positions], r, False
     return _unordered(a, r)
+
+
+def _own_partition(g: Hypergraph) -> _Own | None:
+    """The host's own partition (_rainbow) as an _Own when k >= 3 and the propagation finds one, else None."""
+    if g.k < 3:
+        return None
+    vertices, ids = _relabel(g._rows)
+    rank = _rainbow(ids)
+    return None if rank is None else (vertices, ids, rank)
 
 
 def _unordered(a: np.ndarray, r: int) -> _Loop:
@@ -585,8 +654,12 @@ def _copy_edge_masks(edges: Sequence[Edge], incident: _Index, loops: Iterable[_L
 
 
 def count_copies(g: Hypergraph, r: int, spec: PartitionSpec | None = None) -> int:
-    """Number of copies of the side-r pattern, equal to the enumeration's length."""
-    masks, _labels, size, _linked = _copy_masks(g, r, spec, r)
+    """Number of copies of the side-r pattern, equal to the enumeration's length.
+
+    An unordered k >= 3 count takes the host's own partition when it has one.
+    """
+    own = _own_partition(g) if spec is None and r >= 1 else None
+    masks, _labels, size, _linked = _copy_masks(g, r, spec, r, own)
     return sum(comb(mask.bit_count(), size) for _S, mask in masks)
 
 

@@ -12,7 +12,7 @@ from pathlib import Path
 import pytest
 
 import krsfree
-from krsfree import Hypergraph, complete_bipartite, write_hypergraph, write_partition
+from krsfree import Hypergraph, build_construction, complete_bipartite, write_hypergraph, write_partition
 from krsfree.cli import (
     EXIT_INTERNAL,
     EXIT_CAPACITY,
@@ -126,6 +126,18 @@ class TestCount:
         code, out, _ = run_cli(capsys, "count", "--input", k24_file, "--parts", k24_file + ".parts", "--r", "2")
         assert code == EXIT_OK and "copies 6\n" in out and "bounds PASS\n" in out
         assert calls == [8, 8]
+
+    def test_unordered_4_uniform_host_counts_over_its_own_partition(self, capsys, tmp_path):
+        # Without --parts the (2,2,4) host's 23,500,800 copies took the link
+        # kernel, one (S, mask) pair per copy, past 100 s; over the host's own
+        # partition the command takes ~0.6 s on a 2-core VM.
+        path = tmp_path / "h224.txt"
+        write_hypergraph(build_construction(2, 2, 4)[0], str(path))
+        start = time.perf_counter()
+        code, out, _ = run_cli(capsys, "count", "--input", str(path), "--r", "2")
+        assert time.perf_counter() - start < 5.0
+        assert code == EXIT_OK
+        assert "copies 23500800\n" in out and "bounds PASS\n" in out
 
     def test_k24_copies(self, capsys, k24_file):
         code, out, _ = run_cli(capsys, "count", "--input", k24_file, "--r", "2")

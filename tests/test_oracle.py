@@ -35,7 +35,7 @@ from krsfree.oracle import (
     _two_colouring,
     iter_pattern_copies,
 )
-from krsfree.patterns import _copy_edge_masks, _copy_masks, _incidence
+from krsfree.patterns import _copy_edge_masks, _copy_masks, _incidence, _own_partition
 
 from bruteforce import (
     brute_copies_oriented,
@@ -170,23 +170,29 @@ def referee_masks(g: Hypergraph, pattern: PatternSpec, spec: PartitionSpec | Non
 
 
 def copy_edge_masks(g: Hypergraph, pattern: PatternSpec, spec: PartitionSpec | None) -> list[int]:
-    """The oracle's copy masks: the edge masks of the pattern's loops, one per orientation."""
+    """The oracle's copy masks: the edge masks of the pattern's loops, one per orientation or over the host's own partition."""
     s = pattern.r if pattern.s is None else pattern.s
-    loops = [_copy_masks(g, pattern.r, o, s) for o in _orientations(g, pattern, spec)]
+    orientations = _orientations(g, pattern, spec)
+    own = _own_partition(g) if orientations == [None] else None
+    loops = [_copy_masks(g, pattern.r, o, s, own) for o in orientations]
     return _copy_edge_masks(g._sorted_order, _incidence(g._sorted_order), loops)
 
 
 def root_bound(g: Hypergraph, pattern: PatternSpec, spec: PartitionSpec | None) -> int:
     """The oracle's root bound over the partitions max_free_subgraph settles, read from its index of g's sorted edges.
 
-    Those are the anchors' parts, or a graph's 2-colouring both ways when the
-    pattern is unanchored; test_one_orientation_call_per_search checks that
-    the oracle reports the same bound.
+    Those are the anchors' parts, or when the pattern is unanchored a graph's
+    2-colouring both ways or a k-graph's own partition;
+    test_one_orientation_call_per_search checks that the oracle reports the
+    same bound.
     """
     edges = g._sorted_order
     at = _incidence(edges).at
     orientations = _orientations(g, pattern, spec)
     partitions = [o.parts for o in orientations if o]
+    if orientations == [None] and (own := _own_partition(g)):
+        vertices, _ids, rank = own
+        partitions = [[vertices[rank == c].tolist() for c in range(g.k)]]
     if not partitions and g.k == 2 and (sides := _two_colouring(edges, at)):
         partitions = [sides, sides[::-1]]
     return _root_bound(at, partitions, pattern.r, pattern.r if pattern.s is None else pattern.s, g.m)
@@ -434,8 +440,8 @@ class TestRootBound:
         g = Hypergraph.from_edges(2, 5, [(0, 1), (0, 2), (1, 2), (2, 3), (2, 4), (3, 4), (1, 3)])
         result = max_free_subgraph(g, PatternSpec.krr(2))
         assert result.upper_bound == g.m
-        # Without its partition the (2,2,3) host's pattern is unordered: no bound.
-        g, _, _ = build_construction(2, 2, 3)
+        # K^(3)_7 has no partition its every edge meets once: its unordered pattern gets no bound.
+        g = Hypergraph.from_edges(3, 7, combinations(range(7), 3))
         result = max_free_subgraph(g, PatternSpec.multipartite(2, 3), budget=2)
         assert result.upper_bound == g.m
         assert not result.proof_of_optimality and result.nodes_explored == 2
@@ -648,7 +654,7 @@ class TestRootBound:
             bounds.append(max_free_subgraph(g, pattern, spec, budget=50).upper_bound)
             assert len(calls) == 1
             assert bounds[-1] == root_bound(g, pattern, spec)
-        assert bounds == [6, 6, 7, 12, 15, 15, 86, 128, 0]
+        assert bounds == [6, 6, 7, 12, 15, 15, 86, 86, 0]
 
     def test_deep_first_dive_does_not_overflow(self):
         # 340 disjoint K_{3,3}: the first dive deletes about three edges per
@@ -671,8 +677,8 @@ class TestRootBound:
             "0ecc37716064a47c7ef6e8078dda52255934ba7bc8611315458edc977a062bcf", id="100xK3_3",
         ),
         pytest.param(
-            build_construction(2, 2, 3)[0], PatternSpec.multipartite(2, 3), None, 3_000, 85, 128,
-            "956baf4c7498c7292192a0a645efded820c5e6e1ffd24a4545ed1ee16c5c5b7c", id="c2_2_3-unordered",
+            build_construction(2, 2, 3)[0], PatternSpec.multipartite(2, 3), None, 3_000, 86, 86,
+            "a44541dc7cba3473622b5482f043dfb39d1173c0768536baa26667f4210366d7", id="c2_2_3-unordered",
         ),
         pytest.param(
             complete_bipartite(6, 6)[0], PatternSpec.krs_either(2, 3), complete_bipartite(6, 6)[1], 3_000, 21, 22,
@@ -701,10 +707,12 @@ class TestRootBound:
     ])
     def test_budgeted_search_path_is_frozen(self, g, pattern, spec, budget, optimum, upper_bound, digest):
         # Where the search stands when its budget runs out pins the order it
-        # visits nodes in, not only the optimum it would reach.
+        # visits nodes in, not only the optimum it would reach. A row whose
+        # incumbent meets its bound is proved at the root, with no node.
         result = max_free_subgraph(g, pattern, spec, budget=budget)
+        closed = optimum == upper_bound
         assert (result.optimum, result.nodes_explored, result.proof_of_optimality, result.upper_bound) == (
-            optimum, budget, False, upper_bound,
+            optimum, 0 if closed else budget, closed, upper_bound,
         )
         assert witness_digest(result) == digest
 

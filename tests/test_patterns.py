@@ -47,6 +47,7 @@ from krsfree.patterns import (
     _copy_masks,
     _graph_masks,
     _link_masks,
+    _own_partition,
     _partite_masks,
     _relabel,
     _shared_sets,
@@ -60,6 +61,7 @@ from bruteforce import (
     brute_count_matchings,
     brute_count_partite_copies,
     brute_graph_masks,
+    brute_is_partite,
     brute_kgraph_copies_in_order,
     brute_link_masks,
     brute_partite_masks,
@@ -380,7 +382,8 @@ class TestPartiteKernel:
     def test_completion_step_reads_each_completer_once_per_pair_and_member(self, monkeypatch):
         # ANDing all r^(k-1) transversals of every prefix copy read 1,872 and
         # 432 completer masks. The unordered link kernel already read each once
-        # per (pair, member).
+        # per (pair, member). An unordered count takes the host's own
+        # partition, so it reads what the anchored count reads.
         reads = []
 
         class Counting(patterns._Index):
@@ -390,10 +393,16 @@ class TestPartiteKernel:
 
         monkeypatch.setattr(patterns, "_Index", Counting)
         cases = [(*complete_multipartite([4] * 4), 1296, 624, 4320), (*build_construction(3, 2, 3)[:2], 349_920, 54, 11_664)]
-        for g, spec, copies, anchored, unordered in cases:
-            for parts, expected in ((spec, anchored), (None, unordered)):
+        for g, spec, copies, anchored, linked in cases:
+            counts = [
+                (lambda: count_copies(g, 2, spec), anchored),
+                (lambda: count_copies(g, 2), anchored),
+                # At r = 2 each link-kernel pair adds one mask vertex per copy.
+                (lambda: sum(mask.bit_count() for _S, mask in _link_masks(g._rows, 2)[0]), linked),
+            ]
+            for count, expected in counts:
                 reads.clear()
-                assert count_copies(g, 2, parts) == copies
+                assert count() == copies
                 assert len(reads) == expected
 
     def test_thresholds_and_orientations_match_referee(self):
@@ -616,6 +625,51 @@ class TestKGraphKernel:
         assert count_copies(g, 2) == 0
         assert list(enumerate_copies(g, 2)) == []
         assert time.perf_counter() - start < 1.0
+
+
+class TestOwnPartition:
+    """Unordered k >= 3 counts over the host's own partition, found by forced rainbow propagation."""
+
+    @staticmethod
+    def _spec(g: Hypergraph, own) -> PartitionSpec:
+        # The partition covers the vertices with edges; isolated vertices join its first part.
+        vertices, _ids, rank = own
+        parts = [vertices[rank == c].tolist() for c in range(g.k)]
+        parts[0] += sorted(set(range(g.n)) - set(vertices.tolist()))
+        return PartitionSpec.from_parts(parts)
+
+    @staticmethod
+    def _linked(g: Hypergraph, r: int) -> int:
+        masks, _labels, size, _linked = _copy_masks(g, r, None, r)
+        return sum(comb(mask.bit_count(), size) for _S, mask in masks)
+
+    def test_counts_match_the_link_kernel_and_the_referee(self):
+        hosts = [g for g, _ in partite_corpus_small(120) + shuffled_partite_corpus(80)] + kgraph_corpus(60, seed=32)
+        found = 0
+        for g in hosts:
+            if g.k < 3:
+                continue
+            own = _own_partition(g)
+            if own is not None:
+                found += 1
+                spec = self._spec(g, own)
+                assert brute_is_partite(g, spec)
+            for r in (1, 2):
+                count = count_copies(g, r)
+                assert count == self._linked(g, r) == brute_count_kgraph_unordered(g, r)
+                if own is not None:
+                    assert count == count_copies(g, r, spec)
+        assert found >= 100
+
+    def test_non_partite_and_stalled_hosts_keep_the_link_kernel(self):
+        # K^(3)_7 has no such partition; two 3-edges sharing one vertex leave
+        # the second edge with two uncoloured vertices that nothing forces.
+        for g in (Hypergraph.from_edges(3, 7, combinations(range(7), 3)),
+                  Hypergraph.from_edges(3, 5, [(0, 1, 2), (2, 3, 4)])):
+            assert _own_partition(g) is None
+            for r in (1, 2):
+                assert count_copies(g, r) == self._linked(g, r) == brute_count_kgraph_unordered(g, r)
+
 
 class TestFrozenCopyOrder:
     """Copy order, frozen as digests of the ordered copy lists.
