@@ -12,9 +12,10 @@ Each copy is a bitmask over the host's sorted edges, built by
 patterns._copy_edge_masks from the copy kernel's loop for each orientation,
 or, for the unordered multipartite pattern at k >= 3, over the host's own
 partition when it has one (patterns._rainbow); one _incidence index of those
-edges per call serves it and the root bound. max_free_subgraph resolves the
-pattern once: one _orientations call gives the copy loops and the partitions
-the root bound reads.
+edges per call serves the masks, the propagation that finds that partition
+and the root bound. max_free_subgraph resolves the pattern once: one
+_orientations call gives the copy loops and the partitions the root bound
+reads.
 
 Before searching, max_free_subgraph computes a root upper bound and an
 incumbent:
@@ -25,13 +26,14 @@ incumbent:
     (s - 1) prod_{i<k} C(|U_i|, r). A convex floor F(d) on the copies of a
     d-edge link turns that into a cap on sum_x d_x (greedy by marginal cost,
     d_x capped at x's host degree). At k = 2, F(d) = C(d, r) and the count is
-    sum_w C(d_w, r) <= (s - 1) C(|U|, r). krr, and the unordered multipartite
-    pattern on a graph, use a BFS 2-colouring of the host and take the smaller
-    bound of its two orientations; krs_oriented and the anchored multipartite
+    sum_w C(d_w, r) <= (s - 1) C(|U|, r). The unanchored patterns, krr and
+    the multipartite pattern without a partition, use the host's own
+    partition, which one forced propagation finds at every k; on a graph it
+    is a breadth-first 2-colouring, and the smaller bound of its two
+    orientations is taken. krs_oriented and the anchored multipartite
     pattern use the given parts in order, and krs_either the smaller of both
-    orientations. The unordered multipartite pattern at k >= 3 uses the
-    host's own partition. A non-bipartite host without a partition, and a
-    k-graph without its own partition, get no bound, which is reported as m.
+    orientations. A host with no partition of either kind gets no bound,
+    which is reported as m.
   * The incumbent comes from seeded insertion: the edges are added in the
     order of an np.random.default_rng(0) permutation, each unless some copy
     through it would become complete. An edge in no copy is always inserted,
@@ -69,8 +71,8 @@ from typing import Callable, Iterator, Sequence
 import numpy as np
 
 from .deletion import run_trials
-from .hypergraph import Edge, EdgeSubset, Hypergraph, PartitionSpec
-from .patterns import PatternCopy, _copy_edge_masks, _copy_masks, _expand, _incidence, _own_partition
+from .hypergraph import EdgeSubset, Hypergraph, PartitionSpec
+from .patterns import PatternCopy, _copy_edge_masks, _copy_masks, _expand, _incidence, _rainbow
 
 KIND_KRR = "rr-unordered"
 KIND_KRS_ORIENTED = "rs-oriented"
@@ -169,26 +171,6 @@ class OracleResult:
 _INSERTION_RESTARTS = 64
 
 
-def _two_colouring(edges: Sequence[Edge], at: dict[int, list[int]]) -> tuple[list[int], list[int]] | None:
-    """The classes of a BFS 2-colouring of the graph's non-isolated vertices, or None; at is _incidence(edges).at."""
-    colour: dict[int, int] = {}
-    for root in at:
-        if root in colour:
-            continue
-        colour[root] = 0
-        queue = [root]
-        for v in queue:  # the queue grows while it is read: breadth first
-            for i in at[v]:
-                a, b = edges[i]
-                w = b if a == v else a
-                if w not in colour:
-                    colour[w] = 1 - colour[v]
-                    queue.append(w)
-                elif colour[w] == colour[v]:
-                    return None
-    return [v for v, c in colour.items() if c == 0], [v for v, c in colour.items() if c == 1]
-
-
 def _balanced(t: int, n: int, f: Callable[[int], int]) -> int:
     """Least sum of f(x_i) over n integers x_i >= 0 summing to t, for convex f.
 
@@ -284,20 +266,17 @@ def max_free_subgraph(
     edges = g._sorted_order
     m = len(edges)
     incident = _incidence(edges)
-    # An unanchored k-graph pattern's copies are anchored to the host's own
-    # partition P, when it has one: its copy loop and the bound read P.
-    own = _own_partition(g) if orientations == [None] else None
+    # An unanchored pattern's copies are anchored to the host's own partition
+    # P, when it has one: a k-graph's copy loop reads P, and so does the bound.
+    own = _rainbow(edges, incident.at, g.k) if orientations == [None] else None
     copy_masks = _copy_edge_masks(edges, incident, [_copy_masks(g, pattern.r, o, s, own) for o in orientations])
     full = (1 << m) - 1
-    # The bound reads the anchors' parts. A K_{r,r} copy in a bipartite graph has
-    # its sides in opposite classes of any 2-colouring, so an unanchored graph
-    # pattern reads both orientations of one; an unanchored k-graph pattern reads P.
+    # The bound reads the anchors' parts, or P's. A K_{r,r} copy in a bipartite
+    # graph has its sides in opposite classes of P, so a graph reads P both ways.
     partitions = [o.parts for o in orientations if o]
     if own is not None:
-        vertices, _ids, rank = own
-        partitions = [[vertices[rank == c].tolist() for c in range(g.k)]]
-    elif not partitions and g.k == 2 and (sides := _two_colouring(edges, incident.at)):
-        partitions = [sides, sides[::-1]]
+        parts = [[v for v, c in own.items() if c == i] for i in range(g.k)]
+        partitions = [parts, parts[::-1]] if g.k == 2 else [parts]
     upper_bound = _root_bound(incident.at, partitions, pattern.r, s, m)
     # The search stops once the incumbent deletes no more than this.
     floor = m - upper_bound

@@ -19,9 +19,10 @@ An anchored copy's first k - 1 parts are an anchored copy one part down
 (induction on parts); both end in the wedge kernel for graphs.
 
 A k-partite host's unordered copies are the anchored copies of its own
-partition (see _rainbow). Unordered k >= 3 counts and the oracle's copy masks
-take that partition when the host has one; enumeration keeps the link
-kernel, as its order is part of its output.
+partition, which one forced propagation finds for every k (see _rainbow); the
+oracle's root bound reads it too. Unordered k >= 3 counts and the oracle's
+copy masks take that partition when the host has one; enumeration keeps the
+link kernel, as its order is part of its output.
 
 All counts are exact integers.
 """
@@ -35,7 +36,7 @@ from functools import reduce
 from itertools import chain, combinations, groupby, permutations, product
 from math import comb, factorial
 from operator import and_, itemgetter
-from typing import Callable, Iterable, Iterator, Sequence
+from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
 import numpy as np
 
@@ -103,8 +104,6 @@ def pattern_exponent(r: int, k: int) -> int:
 
 _Masks = Iterable[tuple[tuple, int]]
 _Loop = tuple[_Masks, Sequence[int], int, bool]
-# A host's vertices, its edge rows as positions among them, and each position's part.
-_Own = tuple[np.ndarray, np.ndarray, np.ndarray]
 
 
 def _relabel(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -279,47 +278,50 @@ def _link_masks(a: np.ndarray, r: int) -> tuple[_Masks, list[int]]:
     ), labels
 
 
-def _rainbow(ids: np.ndarray) -> np.ndarray | None:
-    """A partition P of vertices 0 .. n-1 that every edge row of ids meets once, as each vertex's part, or None.
+def _rainbow(
+    edges: Sequence[Sequence[int]], at: Mapping[int, list[int]] | Sequence[list[int]], k: int
+) -> dict[int, int] | None:
+    """A partition P that every edge meets once, as a dict from each vertex with an edge to its part, or None.
 
-    In a k-partite host every unordered copy is a P-anchored copy: with all
-    but one vertex of a transversal fixed, the free vertex's part is forced,
-    so each part of the copy lies in one part of P. P is found by forced
-    propagation, the rows taken in lexicographic order, so that P depends on
-    the edges alone: a row with no coloured vertex is coloured 0 .. k-1 along
-    it, and a row left with one uncoloured vertex forces the colour it lacks.
-    A row meeting a colour twice (a conflict) or a row left partly coloured
-    (a stall) gives None. One numpy pass checks P, so a wrong one is never
-    returned.
+    edges are the host's sorted edges; at[v] lists the positions of v's edges
+    in increasing order. In a k-partite host every unordered copy is a
+    P-anchored copy: with all but one vertex of a transversal fixed, the free
+    vertex's part is forced. P is found by forced propagation, so that it
+    depends on the edges alone: an edge left with one uncoloured vertex forces
+    the colour it lacks. Two passes over the edges seed it, first each edge
+    with no coloured vertex, then each edge still partly coloured: the edge's
+    uncoloured vertices take the colours it lacks, in order. A graph never
+    needs the second pass, so for graphs this is a breadth-first 2-colouring.
+
+    An edge meeting a colour twice gives None, and that test alone proves a
+    returned P: each vertex is coloured once and adds its bit to each of its
+    edges once, so an edge's coloured vertices have distinct colours, and the
+    second pass leaves no edge partly coloured.
     """
-    m, k = ids.shape
-    rows = ids[np.lexsort(ids.T[::-1])]
-    n = int(rows.max(initial=-1)) + 1
-    # The rows through vertex v are through[cuts[v]:cuts[v + 1]].
-    through = (rows.ravel().argsort(kind="stable") // k).tolist()
-    cuts = [0, *np.bincount(rows.ravel(), minlength=n).cumsum().tolist()]
-    # Per row: its uncoloured vertices' count and sum (so the last one is the
+    m = len(edges)
+    # Per edge: its uncoloured vertices' count and sum (so the last one is the
     # sum), and a bit for each colour it meets.
-    left, rest, seen, full = [k] * m, rows.sum(axis=1).tolist(), [0] * m, (1 << k) - 1
-    rows, colour = rows.tolist(), [-1] * n
-    for seed in range(m):
-        if left[seed] < k:
-            continue
-        queue = list(zip(rows[seed], range(k)))
-        for v, c in queue:  # the queue grows while it is read
-            if colour[v] >= 0:  # forced twice: to this colour, or a row met it twice
+    left, rest, seen, full = [k] * m, list(map(sum, edges)), [0] * m, (1 << k) - 1
+    colour: dict[int, int] = {}
+    for least in (k, 1):
+        for seed in range(m):
+            if left[seed] < least:
                 continue
-            colour[v], bit = c, 1 << c
-            for e in through[cuts[v]:cuts[v + 1]]:
-                if seen[e] & bit:
-                    return None
-                seen[e] |= bit
-                left[e] -= 1
-                rest[e] -= v
-                if left[e] == 1:
-                    queue.append((rest[e], (full ^ seen[e]).bit_length() - 1))
-    rank = np.array(colour, np.int64)
-    return rank if (np.sort(rank[ids], axis=1) == np.arange(k)).all() else None
+            lacks = [c for c in range(k) if not seen[seed] >> c & 1]
+            queue = list(zip([v for v in edges[seed] if v not in colour], lacks))
+            for v, c in queue:  # the queue grows while it is read
+                if v in colour:  # forced twice: to this colour, or an edge met it twice
+                    continue
+                colour[v], bit = c, 1 << c
+                for e in at[v]:
+                    if seen[e] & bit:
+                        return None
+                    seen[e] |= bit
+                    left[e] -= 1
+                    rest[e] -= v
+                    if left[e] == 1:
+                        queue.append((rest[e], (full ^ seen[e]).bit_length() - 1))
+    return colour
 
 
 def _lift(loop: _Loop, through: Callable[[int, tuple], int], start: int, s: int, head: tuple = ()) -> _Masks:
@@ -556,15 +558,12 @@ def extensions_of_matching(
     return [c for c in map(PatternCopy, candidates) if c.edge_set() <= g.edges]
 
 
-def _copy_masks(g: Hypergraph, r: int, spec: PartitionSpec | None, s: int, own: _Own | None = None) -> _Loop:
+def _copy_masks(g: Hypergraph, r: int, spec: PartitionSpec | None, s: int, own: dict[int, int] | None = None) -> _Loop:
     """The mask loop for r-sets with s completions, its labels, mask vertices per copy, and if it is the link kernel's.
 
     Checks r and the partition, then picks the kernel: k = 1, anchored, or
-    _unordered, which takes s = r; the link kernel in it adds r - 1 mask
-    vertices to the least vertex's part. own, the _own_partition of an
-    unordered k >= 3 host, takes the anchored kernel over it instead: the same
-    copies, in another order, so counts and the oracle pass it and
-    enumeration does not.
+    _unordered, which takes s = r and own, the host's own partition, if given;
+    the link kernel in it adds r - 1 mask vertices to the least vertex's part.
     """
     if r < 1:
         raise ValueError("pattern side r must be >= 1")
@@ -575,30 +574,44 @@ def _copy_masks(g: Hypergraph, r: int, spec: PartitionSpec | None, s: int, own: 
         return [((), (1 << g.m) - 1)], np.sort(a[:, 0]).tolist(), s, False
     if spec is not None:
         return (*_partite_masks(a, spec._labels, r, s), s, False)
-    if own is not None:
-        # The kernel runs on positions into the host's vertices; the loop names them.
-        vertices, ids, rank = own
-        masks, positions = _partite_masks(ids, rank, r, r)
-        names = vertices.tolist()
-        named = ((tuple(tuple(names[v] for v in part) for part in S), mask) for S, mask in masks)
-        return named, [names[v] for v in positions], r, False
-    return _unordered(a, r)
+    return _unordered(a, r, own)
 
 
-def _own_partition(g: Hypergraph) -> _Own | None:
-    """The host's own partition (_rainbow) as an _Own when k >= 3 and the propagation finds one, else None."""
+def _own_partition(g: Hypergraph) -> dict[int, int] | None:
+    """The host's own partition (_rainbow) when k >= 3 and the propagation finds one, else None.
+
+    The propagation runs on positions into the host's vertices, its rows in
+    lexicographic order, with each position's rows listed by numpy.
+    """
     if g.k < 3:
         return None
     vertices, ids = _relabel(g._rows)
-    rank = _rainbow(ids)
-    return None if rank is None else (vertices, ids, rank)
+    rows = ids[np.lexsort(ids.T[::-1])]
+    through = (rows.ravel().argsort(kind="stable") // g.k).tolist()
+    cuts = np.bincount(rows.ravel()).cumsum().tolist()
+    colour = _rainbow(rows.tolist(), [through[i:j] for i, j in zip([0, *cuts], cuts)], g.k)
+    names = vertices.tolist()
+    return None if colour is None else {names[v]: c for v, c in colour.items()}
 
 
-def _unordered(a: np.ndarray, r: int) -> _Loop:
-    """The _copy_masks loop of unordered side-r copies in the edge rows a: the graph kernel, or the link kernel."""
+def _unordered(a: np.ndarray, r: int, own: dict[int, int] | None = None) -> _Loop:
+    """The _copy_masks loop of unordered side-r copies in the edge rows a.
+
+    Graphs take the graph kernel. A k-graph takes the anchored kernel over
+    own, its own partition, when it is given: the same copies as the link
+    kernel, in another order, so counts and the oracle pass it and
+    enumeration does not.
+    """
     if a.shape[1] == 2:
         return (*_graph_masks(a, r, r), r, False)
-    return (*_link_masks(a, r), r - 1, True)
+    if own is None:
+        return (*_link_masks(a, r), r - 1, True)
+    # The kernel runs on positions into the host's vertices; the loop names them.
+    vertices, ids = _relabel(a)
+    names = vertices.tolist()
+    masks, positions = _partite_masks(ids, np.array([own[v] for v in names], np.int64), r, r)
+    named = ((tuple(tuple(names[v] for v in part) for part in S), mask) for S, mask in masks)
+    return named, [names[v] for v in positions], r, False
 
 
 def enumerate_copies(

@@ -32,10 +32,9 @@ from krsfree.oracle import (
     _link_floor,
     _orientations,
     _root_bound,
-    _two_colouring,
     iter_pattern_copies,
 )
-from krsfree.patterns import _copy_edge_masks, _copy_masks, _incidence, _own_partition
+from krsfree.patterns import _copy_edge_masks, _copy_masks, _incidence, _rainbow
 
 from bruteforce import (
     brute_copies_oriented,
@@ -173,16 +172,18 @@ def copy_edge_masks(g: Hypergraph, pattern: PatternSpec, spec: PartitionSpec | N
     """The oracle's copy masks: the edge masks of the pattern's loops, one per orientation or over the host's own partition."""
     s = pattern.r if pattern.s is None else pattern.s
     orientations = _orientations(g, pattern, spec)
-    own = _own_partition(g) if orientations == [None] else None
+    edges = g._sorted_order
+    incident = _incidence(edges)
+    own = _rainbow(edges, incident.at, g.k) if orientations == [None] else None
     loops = [_copy_masks(g, pattern.r, o, s, own) for o in orientations]
-    return _copy_edge_masks(g._sorted_order, _incidence(g._sorted_order), loops)
+    return _copy_edge_masks(edges, incident, loops)
 
 
 def root_bound(g: Hypergraph, pattern: PatternSpec, spec: PartitionSpec | None) -> int:
     """The oracle's root bound over the partitions max_free_subgraph settles, read from its index of g's sorted edges.
 
-    Those are the anchors' parts, or when the pattern is unanchored a graph's
-    2-colouring both ways or a k-graph's own partition;
+    Those are the anchors' parts, or when the pattern is unanchored the
+    host's own partition, both ways for a graph;
     test_one_orientation_call_per_search checks that the oracle reports the
     same bound.
     """
@@ -190,11 +191,9 @@ def root_bound(g: Hypergraph, pattern: PatternSpec, spec: PartitionSpec | None) 
     at = _incidence(edges).at
     orientations = _orientations(g, pattern, spec)
     partitions = [o.parts for o in orientations if o]
-    if orientations == [None] and (own := _own_partition(g)):
-        vertices, _ids, rank = own
-        partitions = [[vertices[rank == c].tolist() for c in range(g.k)]]
-    if not partitions and g.k == 2 and (sides := _two_colouring(edges, at)):
-        partitions = [sides, sides[::-1]]
+    if orientations == [None] and (own := _rainbow(edges, at, g.k)) is not None:
+        parts = [[v for v, c in own.items() if c == i] for i in range(g.k)]
+        partitions = [parts, parts[::-1]] if g.k == 2 else [parts]
     return _root_bound(at, partitions, pattern.r, pattern.r if pattern.s is None else pattern.s, g.m)
 
 
@@ -446,6 +445,20 @@ class TestRootBound:
         assert result.upper_bound == g.m
         assert not result.proof_of_optimality and result.nodes_explored == 2
 
+    def test_one_graphs_and_stalled_hosts_get_a_bound(self):
+        # A 1-graph's own partition is one part, so at most r - 1 edges stay:
+        # the bound is the optimum and the search explores no node.
+        g = Hypergraph.from_edges(1, 6, [(v,) for v in range(6)])
+        for r, kept in [(1, []), (2, [(3,)]), (3, [(2,), (3,)])]:
+            result = max_free_subgraph(g, PatternSpec.multipartite(r, 1))
+            assert (result.optimum, result.nodes_explored, result.proof_of_optimality) == (r - 1, 0, True)
+            assert result.upper_bound == r - 1 and sorted(result.witness.edges) == kept
+        # The second 3-edge is left partly coloured by the first seed; seeded
+        # in turn, the host is partitioned and every edge is a copy at r = 1.
+        g = Hypergraph.from_edges(3, 5, [(0, 1, 2), (2, 3, 4)])
+        result = max_free_subgraph(g, PatternSpec.multipartite(1, 3))
+        assert (result.optimum, result.nodes_explored, result.proof_of_optimality, result.upper_bound) == (0, 0, True, 0)
+
     def test_link_induction_bound_is_pinned(self):
         # Pinned, so that a weaker bound fails as well as an invalid one. The
         # (2,2,3) host's 86 is its optimum; the (3,2,3) host is never solved here.
@@ -490,7 +503,8 @@ class TestRootBound:
         outcomes = [0, 0]
         for g in hosts:
             edges = g._sorted_order
-            sides = _two_colouring(edges, _incidence(edges).at)
+            own = _rainbow(edges, _incidence(edges).at, 2)
+            sides = None if own is None else tuple([v for v, c in own.items() if c == i] for i in (0, 1))
             assert sides == brute_two_colouring(g)
             outcomes[sides is None] += 1
         assert min(outcomes) >= 100

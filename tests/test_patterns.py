@@ -633,9 +633,8 @@ class TestOwnPartition:
     @staticmethod
     def _spec(g: Hypergraph, own) -> PartitionSpec:
         # The partition covers the vertices with edges; isolated vertices join its first part.
-        vertices, _ids, rank = own
-        parts = [vertices[rank == c].tolist() for c in range(g.k)]
-        parts[0] += sorted(set(range(g.n)) - set(vertices.tolist()))
+        parts = [[v for v, c in own.items() if c == i] for i in range(g.k)]
+        parts[0] += sorted(set(range(g.n)) - set(own))
         return PartitionSpec.from_parts(parts)
 
     @staticmethod
@@ -661,14 +660,34 @@ class TestOwnPartition:
                     assert count == count_copies(g, r, spec)
         assert found >= 100
 
-    def test_non_partite_and_stalled_hosts_keep_the_link_kernel(self):
-        # K^(3)_7 has no such partition; two 3-edges sharing one vertex leave
-        # the second edge with two uncoloured vertices that nothing forces.
-        for g in (Hypergraph.from_edges(3, 7, combinations(range(7), 3)),
-                  Hypergraph.from_edges(3, 5, [(0, 1, 2), (2, 3, 4)])):
-            assert _own_partition(g) is None
-            for r in (1, 2):
-                assert count_copies(g, r) == self._linked(g, r) == brute_count_kgraph_unordered(g, r)
+    def test_non_partite_hosts_keep_the_link_kernel(self):
+        # K^(3)_7 has no partition that every edge meets once.
+        g = Hypergraph.from_edges(3, 7, combinations(range(7), 3))
+        assert _own_partition(g) is None
+        for r in (1, 2):
+            assert count_copies(g, r) == self._linked(g, r) == brute_count_kgraph_unordered(g, r)
+
+    def test_stalled_hosts_find_their_partition(self):
+        # Two 3-edges sharing one vertex leave the second edge with two
+        # uncoloured vertices that nothing forces; the second seeding pass
+        # gives them the colours it lacks.
+        g = Hypergraph.from_edges(3, 5, [(0, 1, 2), (2, 3, 4)])
+        own = _own_partition(g)
+        assert own is not None and brute_is_partite(g, self._spec(g, own))
+        for r in (1, 2):
+            assert count_copies(g, r) == self._linked(g, r) == brute_count_kgraph_unordered(g, r)
+
+    def test_pendant_edge_keeps_the_anchored_kernel(self, monkeypatch):
+        # One pendant edge stalls the first pass on the (3,2,3) host; the count
+        # still runs over the host's own partition, never the link kernel.
+        g, _spec, _ = build_construction(3, 2, 3)
+        g = Hypergraph.from_edges(3, g.n + 2, [*g.edges, (0, g.n, g.n + 1)])
+
+        def link_masks(*args):
+            raise AssertionError("the link kernel ran")
+
+        monkeypatch.setattr(patterns, "_link_masks", link_masks)
+        assert count_copies(g, 2) == 349_920
 
 
 class TestFrozenCopyOrder:
