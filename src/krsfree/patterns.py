@@ -19,10 +19,11 @@ An anchored copy's first k - 1 parts are an anchored copy one part down
 (induction on parts); both end in the wedge kernel for graphs.
 
 A k-partite host's unordered copies are the anchored copies of its own
-partition, which one forced propagation finds for every k (see _rainbow); the
-oracle's root bound reads it too. Unordered k >= 3 counts and the oracle's
-copy masks take that partition when the host has one; enumeration keeps the
-link kernel, as its order is part of its output.
+partition, which one forced propagation over the sorted edges' _incidence
+index finds for every k (see _rainbow); counts and the oracle make the same
+call, and the oracle's root bound reads it too. Unordered k >= 3 counts and the
+oracle's copy masks take that partition when the host has one; enumeration
+keeps the link kernel, as its order is part of its output.
 
 All counts are exact integers.
 """
@@ -278,20 +279,19 @@ def _link_masks(a: np.ndarray, r: int) -> tuple[_Masks, list[int]]:
     ), labels
 
 
-def _rainbow(
-    edges: Sequence[Sequence[int]], at: Mapping[int, list[int]] | Sequence[list[int]], k: int
-) -> dict[int, int] | None:
+def _rainbow(edges: Sequence[Edge], at: Mapping[int, list[int]], k: int) -> dict[int, int] | None:
     """A partition P that every edge meets once, as a dict from each vertex with an edge to its part, or None.
 
-    edges are the host's sorted edges; at[v] lists the positions of v's edges
-    in increasing order. In a k-partite host every unordered copy is a
-    P-anchored copy: with all but one vertex of a transversal fixed, the free
-    vertex's part is forced. P is found by forced propagation, so that it
-    depends on the edges alone: an edge left with one uncoloured vertex forces
-    the colour it lacks. Two passes over the edges seed it, first each edge
-    with no coloured vertex, then each edge still partly coloured: the edge's
-    uncoloured vertices take the colours it lacks, in order. A graph never
-    needs the second pass, so for graphs this is a breadth-first 2-colouring.
+    edges are the host's sorted edges and at is their _incidence index's
+    lists: at[v] holds the positions of v's edges in increasing order. In a
+    k-partite host every unordered copy is a P-anchored copy: with all but one
+    vertex of a transversal fixed, the free vertex's part is forced. P is
+    found by forced propagation, so that it depends on the edges alone: an
+    edge left with one uncoloured vertex forces the colour it lacks. Two
+    passes over the edges seed it, first each edge with no coloured vertex,
+    then each edge still partly coloured: the edge's uncoloured vertices take
+    the colours it lacks, in order. A graph never needs the second pass, so
+    for graphs this is a breadth-first 2-colouring.
 
     An edge meeting a colour twice gives None, and that test alone proves a
     returned P: each vertex is coloured once and adds its bit to each of its
@@ -577,23 +577,6 @@ def _copy_masks(g: Hypergraph, r: int, spec: PartitionSpec | None, s: int, own: 
     return _unordered(a, r, own)
 
 
-def _own_partition(g: Hypergraph) -> dict[int, int] | None:
-    """The host's own partition (_rainbow) when k >= 3 and the propagation finds one, else None.
-
-    The propagation runs on positions into the host's vertices, its rows in
-    lexicographic order, with each position's rows listed by numpy.
-    """
-    if g.k < 3:
-        return None
-    vertices, ids = _relabel(g._rows)
-    rows = ids[np.lexsort(ids.T[::-1])]
-    through = (rows.ravel().argsort(kind="stable") // g.k).tolist()
-    cuts = np.bincount(rows.ravel()).cumsum().tolist()
-    colour = _rainbow(rows.tolist(), [through[i:j] for i, j in zip([0, *cuts], cuts)], g.k)
-    names = vertices.tolist()
-    return None if colour is None else {names[v]: c for v, c in colour.items()}
-
-
 def _unordered(a: np.ndarray, r: int, own: dict[int, int] | None = None) -> _Loop:
     """The _copy_masks loop of unordered side-r copies in the edge rows a.
 
@@ -670,8 +653,13 @@ def count_copies(g: Hypergraph, r: int, spec: PartitionSpec | None = None) -> in
     """Number of copies of the side-r pattern, equal to the enumeration's length.
 
     An unordered k >= 3 count takes the host's own partition when it has one.
+    Only that path reads the sorted edges, so anchored and graph counts (each
+    trial's freeness check) sort nothing.
     """
-    own = _own_partition(g) if spec is None and r >= 1 else None
+    own = None
+    if spec is None and g.k >= 3:
+        edges = g._sorted_order
+        own = _rainbow(edges, _incidence(edges).at, g.k)
     masks, _labels, size, _linked = _copy_masks(g, r, spec, r, own)
     return sum(comb(mask.bit_count(), size) for _S, mask in masks)
 

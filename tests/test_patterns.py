@@ -46,9 +46,10 @@ from krsfree.patterns import (
     _by_degree,
     _copy_masks,
     _graph_masks,
+    _incidence,
     _link_masks,
-    _own_partition,
     _partite_masks,
+    _rainbow,
     _relabel,
     _shared_sets,
     _three_matchings,
@@ -638,6 +639,12 @@ class TestOwnPartition:
         return PartitionSpec.from_parts(parts)
 
     @staticmethod
+    def _own(g: Hypergraph):
+        # The call count_copies and the oracle make.
+        edges = g._sorted_order
+        return _rainbow(edges, _incidence(edges).at, g.k)
+
+    @staticmethod
     def _linked(g: Hypergraph, r: int) -> int:
         masks, _labels, size, _linked = _copy_masks(g, r, None, r)
         return sum(comb(mask.bit_count(), size) for _S, mask in masks)
@@ -648,7 +655,7 @@ class TestOwnPartition:
         for g in hosts:
             if g.k < 3:
                 continue
-            own = _own_partition(g)
+            own = self._own(g)
             if own is not None:
                 found += 1
                 spec = self._spec(g, own)
@@ -660,22 +667,51 @@ class TestOwnPartition:
                     assert count == count_copies(g, r, spec)
         assert found >= 100
 
-    def test_non_partite_hosts_keep_the_link_kernel(self):
-        # K^(3)_7 has no partition that every edge meets once.
-        g = Hypergraph.from_edges(3, 7, combinations(range(7), 3))
-        assert _own_partition(g) is None
+    def test_hosts_the_propagation_misses_keep_the_link_kernel(self):
+        # K^(3)_7 has no partition that every edge meets once. The second host
+        # has one, but seeding (0, 1, 2) and then (0, 3, 4) in order gives 1 and
+        # 3 the same colour, and (1, 3, 5) meets it twice.
+        k7 = Hypergraph.from_edges(3, 7, combinations(range(7), 3))
+        missed = Hypergraph.from_edges(3, 7, [(0, 1, 2), (0, 3, 4), (1, 3, 5), (2, 4, 6)])
+        for g in (k7, missed):
+            assert self._own(g) is None
+            for r in (1, 2):
+                assert count_copies(g, r) == self._linked(g, r) == brute_count_kgraph_unordered(g, r)
+        spec = self._spec(missed, {0: 0, 1: 1, 2: 2, 3: 2, 4: 1, 5: 0, 6: 0})
+        assert brute_is_partite(missed, spec)
         for r in (1, 2):
-            assert count_copies(g, r) == self._linked(g, r) == brute_count_kgraph_unordered(g, r)
+            assert count_copies(missed, r, spec) == count_copies(missed, r)
 
     def test_stalled_hosts_find_their_partition(self):
         # Two 3-edges sharing one vertex leave the second edge with two
         # uncoloured vertices that nothing forces; the second seeding pass
         # gives them the colours it lacks.
         g = Hypergraph.from_edges(3, 5, [(0, 1, 2), (2, 3, 4)])
-        own = _own_partition(g)
+        own = self._own(g)
         assert own is not None and brute_is_partite(g, self._spec(g, own))
         for r in (1, 2):
             assert count_copies(g, r) == self._linked(g, r) == brute_count_kgraph_unordered(g, r)
+
+    def test_counts_find_the_partition_as_the_oracle_does(self, monkeypatch):
+        # Anchored and graph counts never sort the host's edges; an unordered
+        # k >= 3 count makes one _rainbow call over the sorted edges' _incidence.
+        bipartite, spec = complete_bipartite(3, 4)
+        for g, s in ((bipartite, spec), (random_graph(12, 0.5, random.Random(34)), None)):
+            assert count_copies(g, 2, s) > 0
+            assert "_sorted_order" not in vars(g)
+        rainbow, calls = patterns._rainbow, []
+
+        def recorder(edges, at, k):
+            calls.append((edges, at, k))
+            return rainbow(edges, at, k)
+
+        monkeypatch.setattr(patterns, "_rainbow", recorder)
+        g, _spec, _ = build_construction(2, 2, 3)
+        count_copies(g, 2)
+        assert len(calls) == 1
+        edges, at, k = calls[0]
+        assert edges is g._sorted_order and k == 3
+        assert at == _incidence(g._sorted_order).at
 
     def test_pendant_edge_keeps_the_anchored_kernel(self, monkeypatch):
         # One pendant edge stalls the first pass on the (3,2,3) host; the count
@@ -888,7 +924,7 @@ class TestMatchings:
         assert count_matchings(g, 3) == 157_608_000
         assert time.perf_counter() - start < 0.5
 
-    def test_kgraph_triples_walk_one_level_short(self):
+    def test_kgraph_triples_walk_one_level_short(self, monkeypatch):
         # The r = 3 count walks the 1-matchings and counts the disjoint pairs of
         # each mask by inclusion-exclusion. Extending every 2-matching instead
         # took 0.63-1.05 s here against 0.16-0.29 s on a 2-core VM.
@@ -900,6 +936,17 @@ class TestMatchings:
             assert count_matchings(g, 3) == 96_372_803
             times.append(time.perf_counter() - start)
         assert min(times) < 0.6
+        # The clock aside: the walk asks for depth r - 1 and meets one pair per edge.
+        matching_masks, calls = patterns._matching_masks, []
+
+        def recorder(edges, incident, r):
+            pairs = list(matching_masks(edges, incident, r))
+            calls.append((r, len(pairs)))
+            return pairs
+
+        monkeypatch.setattr(patterns, "_matching_masks", recorder)
+        assert count_matchings(g, 3) == 96_372_803
+        assert calls == [(2, g.m)]
 
     def test_memory_follows_edges_not_declared_vertices(self):
         g = Hypergraph.from_edges(2, 10**7, [(0, 1), (2, 3), (5, 10**7 - 1)])
